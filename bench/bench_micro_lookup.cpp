@@ -3,7 +3,7 @@
 // DESIGN.md ablation #1, extended for the query-acceleration stack:
 // reversed-label trie (psl::List) vs. hash-set per-depth probing
 // (psl::FlatMatcher) vs. the arena-compiled matcher (psl::CompiledMatcher),
-// single match_view vs. the interleaved prefetching match_batch vs.
+// single match_view vs. match_batch (a loop over match_view) vs.
 // batched+cached (match_batch behind a RegDomainCache, the serve-layer hot
 // path) — over the full list, a realistic uniform host mix, and a
 // Zipf-skewed stream. Every match benchmark also reports heap allocations
@@ -46,16 +46,18 @@ namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Kept out of line: once inlined, GCC pairs the malloc()/free() inside with
+// the caller's new/delete and flags them (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -225,7 +227,7 @@ std::size_t cached_batch_lookup(const psl::CompiledMatcher& matcher,
 constexpr std::size_t kBenchBatch = 64;
 
 void BM_CompiledMatchBatch(benchmark::State& state) {
-  // The interleaved + prefetched batch walk over the uniform mix. One
+  // The batch entry point over the uniform mix. One
   // "iteration" = one batch of kBenchBatch hosts; allocs/op must print 0.
   const psl::CompiledMatcher matcher(full_list());
   const auto& hosts = host_mix();

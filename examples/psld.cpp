@@ -5,7 +5,7 @@
 //
 //   $ psld --listen 127.0.0.1:7878 (--snapshot list.psnap | --store hist.pstore)
 //          [--threads N] [--max-conns N] [--queue-depth N]
-//          [--max-frame BYTES] [--force-poll] [--analytics]
+//          [--max-frame BYTES] [--udp] [--shards N] [--analytics]
 //
 //   Boots a serve::Engine from the validated snapshot file — or, with
 //   --store, from the newest version of a multi-version psl::store file,
@@ -89,8 +89,7 @@ int usage() {
                "usage:\n"
                "  psld --listen ADDR:PORT (--snapshot FILE | --store FILE) [--threads N]\n"
                "       [--max-conns N] [--queue-depth N] [--max-frame BYTES]\n"
-               "       [--backend auto|epoll|poll|io_uring] [--force-poll] [--udp]\n"
-               "       [--shards N] [--analytics]\n"
+               "       [--udp] [--shards N] [--analytics]\n"
                "PORT 0 asks the kernel for an ephemeral port; the banner names it.\n"
                "--shards N forks N acceptor processes sharing the port via\n"
                "SO_REUSEPORT and the snapshot via a shared mapping (requires\n"
@@ -395,22 +394,9 @@ struct ServeConfig {
   std::size_t queue_depth = 64;
   std::size_t max_frame = psl::net::kDefaultMaxFrameBytes;
   std::size_t shards = 1;
-  psl::net::Backend backend = psl::net::Backend::kAuto;
   bool udp = false;
   bool analytics = false;
 };
-
-// The daemon is graceful where the library is strict: an explicit
-// --backend io_uring on a kernel without it serves anyway (on epoll/poll)
-// with a log line, instead of refusing to boot a fleet over a scheduler
-// detail. Tests that NEED io_uring use the library and skip.
-psl::net::Backend resolve_backend(psl::net::Backend requested) {
-  if (requested == psl::net::Backend::kIoUring && !psl::net::Server::io_uring_supported()) {
-    std::fprintf(stderr, "psld: io_uring unsupported on this kernel, falling back\n");
-    return psl::net::Backend::kAuto;
-  }
-  return requested;
-}
 
 // One shard: engine + server + signal loop, run in a forked child. The shard
 // maps the SAME snapshot file as every other shard (load_file_view — one
@@ -454,7 +440,6 @@ int shard_main(const ServeConfig& cfg, std::size_t shard_index,
   options.port = cfg.port;  // concrete by now — the parent resolved port 0
   options.max_connections = cfg.max_conns;
   options.max_frame_bytes = cfg.max_frame;
-  options.backend = resolve_backend(cfg.backend);
   options.reuse_port = true;
   options.enable_udp = cfg.udp;
   options.metrics = &metrics;
@@ -465,10 +450,9 @@ int shard_main(const ServeConfig& cfg, std::size_t shard_index,
                  started.error().message.c_str());
     return 1;
   }
-  std::printf("psld: shard %zu serving generation %llu on %s:%u (backend %s, pid %d)\n",
+  std::printf("psld: shard %zu serving generation %llu on %s:%u (pid %d)\n",
               shard_index, static_cast<unsigned long long>(engine.generation()),
-              cfg.address.c_str(), *started, server.backend_name(),
-              static_cast<int>(::getpid()));
+              cfg.address.c_str(), *started, static_cast<int>(::getpid()));
   std::fflush(stdout);
 
   for (;;) {
@@ -740,7 +724,6 @@ int cmd_serve(const ServeConfig& cfg) {
   options.port = cfg.port;
   options.max_connections = cfg.max_conns;
   options.max_frame_bytes = cfg.max_frame;
-  options.backend = resolve_backend(cfg.backend);
   options.enable_udp = cfg.udp;
   options.metrics = &metrics;
   psl::net::Server server(*engine, options);
@@ -750,12 +733,11 @@ int cmd_serve(const ServeConfig& cfg) {
     return 1;
   }
 
-  std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu workers"
-              " (backend %s)%s%s%s\n",
+  std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu workers%s%s%s\n",
               static_cast<unsigned long long>(engine->generation()),
               static_cast<unsigned long long>(engine->metadata().rule_count),
               cfg.address.c_str(), *started, engine->worker_count(),
-              server.backend_name(), cfg.store_path.empty() ? "" : " [store]",
+              cfg.store_path.empty() ? "" : " [store]",
               cfg.udp ? " [udp]" : "", cfg.analytics ? " [analytics]" : "");
   std::fflush(stdout);
 
@@ -914,23 +896,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.shards = static_cast<std::size_t>(parsed);
-    } else if (args[i] == "--backend") {
-      const std::string* v = value("--backend");
-      if (!v) return 2;
-      if (*v == "auto") {
-        cfg.backend = psl::net::Backend::kAuto;
-      } else if (*v == "epoll") {
-        cfg.backend = psl::net::Backend::kEpoll;
-      } else if (*v == "poll") {
-        cfg.backend = psl::net::Backend::kPoll;
-      } else if (*v == "io_uring") {
-        cfg.backend = psl::net::Backend::kIoUring;
-      } else {
-        std::fprintf(stderr, "psld: unknown --backend %s\n", v->c_str());
-        return 2;
-      }
-    } else if (args[i] == "--force-poll") {
-      cfg.backend = psl::net::Backend::kPoll;  // legacy alias for --backend poll
     } else if (args[i] == "--analytics") {
       cfg.analytics = true;
     } else {

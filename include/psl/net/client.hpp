@@ -12,16 +12,8 @@
 // consumed wherever the client reads the socket — interleaved with a
 // response inside any round trip, or explicitly via poll_pushes() — never
 // treated as protocol errors. Each push updates last_pushed_generation()
-// and fires the optional push callback.
-//
-// Client-side caching: with ClientOptions::cache_slots > 0 AND an active
-// subscription, registrable_domains() answers repeated hosts from a local
-// RegDomainCache without touching the network. The cache is keyed on the
-// pushed generation — before serving hits the client drains pending pushes,
-// and a generation change drops the whole cache, so a stale boundary is
-// never served once the server has told us the list moved (the push-driven
-// mirror of the server's RCU cache invalidation). Without a subscription
-// the cache stays disabled: the client would have no invalidation signal.
+// and fires the optional push callback. The client caches no answers:
+// every registrable_domains() call is a match_batch round trip.
 //
 // Error codes (util::Result, stable):
 //   net.io             socket create/connect/send/recv failed (message has
@@ -51,7 +43,6 @@
 #include <vector>
 
 #include "psl/net/frame.hpp"
-#include "psl/serve/regdomain_cache.hpp"
 #include "psl/util/date.hpp"
 #include "psl/util/result.hpp"
 
@@ -61,10 +52,6 @@ struct ClientOptions {
   int connect_timeout_ms = 5000;
   int io_timeout_ms = 10000;  ///< bound on each blocking send/recv
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Client-side registrable-domain cache slots (rounded up to a power of
-  /// two; 0 disables). Served only while subscribed — pushed generation
-  /// changes are the invalidation signal (see the header comment).
-  std::size_t cache_slots = 0;
 };
 
 class Client {
@@ -81,7 +68,7 @@ class Client {
   /// kUdpMaxDatagramBytes (net.oversize client-side, "udp.oversize" from the
   /// server). UDP is lossy by contract: a dropped datagram surfaces as
   /// net.timeout after io_timeout_ms — the caller retries or falls back to
-  /// TCP. No push channel, so the client-side cache stays disabled.
+  /// TCP. No push channel.
   static util::Result<Client> connect_udp(const std::string& address, std::uint16_t port,
                                           ClientOptions options = {});
 
@@ -165,8 +152,7 @@ class Client {
 
   /// Drop the dead socket, dial the original address again and re-subscribe
   /// if subscribe() had been called. The push callback and options carry
-  /// over; the registrable-domain cache is dropped (its generation key is
-  /// meaningless across connections until the re-subscribe answers).
+  /// over; last_pushed_generation() restarts from the re-subscribe answer.
   util::Result<bool> reconnect();
 
  private:
@@ -186,8 +172,6 @@ class Client {
   /// Record one generation_changed frame (updates last_pushed_generation,
   /// fires the callback). net.protocol + close on a malformed push body.
   util::Result<bool> handle_push(const Frame& frame);
-  /// Drop every cached boundary and re-key the cache on `generation`.
-  void reset_cache(std::uint64_t generation);
 
   int fd_ = -1;
   ClientOptions options_;
@@ -203,9 +187,6 @@ class Client {
   bool subscribed_ = false;
   std::uint64_t pushed_generation_ = 0;
   PushCallback push_callback_;
-  /// Generation-keyed registrable-domain cache (see the header comment).
-  serve::RegDomainCache cache_{0};
-  std::uint64_t cache_generation_ = 0;
 };
 
 }  // namespace psl::net

@@ -2,9 +2,8 @@
 //
 // One event-loop thread owns every socket: a non-blocking IPv4 listener plus
 // per-connection state machines (incremental FrameDecoder in, reusable write
-// buffer out), multiplexed through epoll where available and poll()
-// everywhere else (ServerOptions::force_poll pins the portable backend, so
-// both are testable on one platform). Query batches never run on the loop
+// buffer out), multiplexed through one level-triggered epoll fd (the project
+// is Linux-only). Query batches never run on the loop
 // thread: decoded same_site/match requests are handed to the engine's worker
 // pool via Engine::submit_job, workers build the complete response frame off
 // to the side, and a self-pipe wakes the loop to flush it — so a slow batch
@@ -79,16 +78,6 @@
 
 namespace psl::net {
 
-class Poller;  // epoll/poll/io_uring backend, internal to server.cpp
-
-/// Event-loop readiness backend. kAuto prefers epoll on Linux and falls back
-/// to poll() everywhere else. kIoUring is strict: start() fails with
-/// "net.backend" when the kernel cannot run it (syscalls absent, disabled by
-/// the kernel.io_uring_disabled sysctl, or timed waits unsupported) —
-/// callers wanting graceful fallback probe Server::io_uring_supported()
-/// first, which is exactly what psld --backend io_uring does.
-enum class Backend : std::uint8_t { kAuto, kEpoll, kPoll, kIoUring };
-
 // UDP frames are bounded by kUdpMaxDatagramBytes (frame.hpp), both
 // directions. A response that would exceed the bound is replaced by a
 // kUnsupported status frame with detail "udp.oversize" (the request WAS
@@ -105,8 +94,6 @@ struct ServerOptions {
   int read_timeout_ms = 10000;   ///< a started frame must complete this fast
   int write_stall_timeout_ms = 10000;  ///< pending output must make progress this fast
   int drain_timeout_ms = 5000;   ///< graceful-shutdown bound before force-close
-  bool force_poll = false;       ///< legacy alias: true pins Backend::kPoll
-  Backend backend = Backend::kAuto;  ///< readiness backend (see Backend)
   /// SO_REUSEPORT on the listener (and the UDP socket): N processes bind
   /// the same port and the kernel load-balances connections across them —
   /// the psld --shards fan-out. Every process on the port must set it.
@@ -129,8 +116,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Bind + listen + spawn the event-loop thread. Returns the bound port
-  /// (useful with port 0). Errors: net.listen (bind/listen/socket failure,
-  /// message carries errno text), net.started (already running).
+  /// (useful with port 0). Errors: net.listen (socket/bind/listen/epoll
+  /// failure, message carries errno text), net.started (already running).
   util::Result<std::uint16_t> start();
 
   /// Graceful drain: stop accepting, finish in-flight batches and flush
@@ -141,13 +128,6 @@ class Server {
   std::uint16_t port() const noexcept { return port_; }
   /// Open connections (tests; the live value is also the net.connections gauge).
   std::size_t connection_count() const;
-  /// The active readiness backend ("epoll", "poll", "io_uring"); "none"
-  /// before the first successful start().
-  const char* backend_name() const noexcept { return backend_name_; }
-  /// Can this kernel run the io_uring backend? One real ring is set up and
-  /// torn down on the first call (the result is cached): syscalls present,
-  /// not disabled by sysctl, and EXT_ARG timed waits available.
-  static bool io_uring_supported();
 
  private:
   struct Connection;
@@ -187,8 +167,7 @@ class Server {
   int udp_fd_ = -1;         // the UDP fast path (enable_udp), same port
   int wake_read_fd_ = -1;   // self-pipe: workers/shutdown wake the loop
   int wake_write_fd_ = -1;
-  const char* backend_name_ = "none";
-  std::unique_ptr<Poller> poller_;
+  int epoll_fd_ = -1;       // level-triggered readiness for every fd above
   std::thread loop_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};

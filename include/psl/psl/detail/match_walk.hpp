@@ -8,25 +8,13 @@
 // bookkeeping, degenerate-host handling, early termination, and the
 // MatchView epilogue. Equivalence across matchers is therefore structural:
 // they cannot disagree on algorithm, only on storage (which the equivalence
-// suite still cross-checks end to end).
+// suite still cross-checks end to end). The walk itself is checked against a
+// brute-force reference that shares none of this code
+// (tests/psl/reference_matcher_test.cpp).
 //
-// The walk is factored as a resumable state machine (MatchWalkState:
-// init / step-one-label / finish) rather than a closed loop so that ONE
-// implementation serves both drivers:
-//
-//   * match_walk() — the classic sequential form: init, step until done,
-//     finish. This is what match_view() on every matcher runs.
-//   * CompiledMatcher::match_batch() — interleaves many states in rounds,
-//     advancing each host one label per round and issuing a software
-//     prefetch for the child range the NEXT round will binary-search. The
-//     batched walk cannot diverge from the single walk because there is no
-//     second copy of the algorithm to diverge.
-//
-// To make that pipelining possible, each state scans (and FNV-hashes) one
-// label AHEAD of the one it consumes: init() scans the rightmost label, and
-// every step() consumes the scanned label, walks the cursor, then scans the
-// next. A whole batch therefore has its first-round labels hashed up front
-// before any trie line is touched.
+// There is exactly one driver: match_view() on every matcher calls
+// match_walk(), and CompiledMatcher::match_batch() is a plain loop over
+// match_view().
 //
 // Cursor requirements (all const-cheap, called in the hot loop):
 //   bool descend(std::string_view label, std::uint32_t hash)
@@ -67,39 +55,35 @@ inline std::uint32_t fnv1a_reverse(std::string_view label) noexcept {
   return h;
 }
 
-/// One resumable right-to-left walk. Lifecycle: init() once, step() until it
-/// returns false, finish() for the MatchView. After init() returns false the
-/// walk is already complete (degenerate host or bare kMaxMatchDepth guard)
-/// and finish() is still valid.
 template <typename Cursor>
-struct MatchWalkState {
-  Cursor cursor;
-  std::string_view host;  ///< trailing dot already stripped
+MatchView match_walk(Cursor cursor, std::string_view host) {
+  MatchView out;
+  if (!host.empty() && host.back() == '.') host.remove_suffix(1);
+  // Empty hosts and hosts whose rightmost label is empty ("", ".", "a..")
+  // have no suffix at all — no last label for even the implicit "*" to name.
+  if (host.empty() || host.back() == '.') return out;
 
-  std::size_t starts[kMaxMatchDepth];  ///< starts[d] = offset of d-label suffix
+  // One right-to-left scan, recording where each suffix of the host starts.
+  // starts[d] = offset of the d-rightmost-labels suffix. Once the walk dies
+  // the prevailing rule is fixed, so scanning stops as soon as the
+  // registrable domain's start is known — long hosts under shallow rules
+  // never pay for their full label count.
+  std::size_t starts[kMaxMatchDepth];
+  constexpr std::size_t npos = std::string_view::npos;
 
-  // Prevailing-rule bookkeeping (identical to the classic loop's locals).
   std::size_t best_len = 1;  // the implicit "*" rule
   bool explicit_rule = false;
   Section best_section = Section::kIcann;
   RuleKind best_kind = RuleKind::kNormal;
   std::size_t exception_depth = 0;
+
   bool walking = true;
   std::size_t depth = 0;
-  bool degenerate = false;
+  std::size_t label_end = host.size();
 
-  // The label scanned ahead (consumed by the next step).
-  std::size_t next_start = 0;
-  std::size_t next_end = 0;
-  std::uint32_t next_hash = 0;
-  std::size_t next_dot = 0;  ///< offset of the dot left of it; npos at host start
-
-  static constexpr std::size_t npos = std::string_view::npos;
-
-  /// Scan the label ending at `label_end` (exclusive): find its start and
-  /// FNV-hash its bytes (reverse order, matching fnv1a_reverse) in one
-  /// backward pass.
-  void scan_label(std::size_t label_end) noexcept {
+  while (true) {
+    // One backward pass per label: find its start and FNV-hash its bytes
+    // (reverse order, matching fnv1a_reverse) in the same scan.
     std::uint32_t h = 2166136261u;
     std::size_t pos = label_end;
     while (pos > 0 && host[pos - 1] != '.') {
@@ -107,68 +91,33 @@ struct MatchWalkState {
       h *= 16777619u;
       --pos;
     }
-    next_start = pos;
-    next_end = label_end;
-    next_hash = h;
-    next_dot = pos == 0 ? npos : pos - 1;
-  }
-
-  /// Prepare the walk for `raw_host`. Returns true when there is at least
-  /// one label to step through; false when the host is degenerate (empty,
-  /// or its rightmost label is empty: "", ".", "a..") — no suffix at all,
-  /// no last label for even the implicit "*" to name.
-  ///
-  /// init() resets every bookkeeping field itself (the `starts` array needs
-  /// no clearing — only entries up to the walk's depth are ever read), so a
-  /// state object is reusable across hosts without value-initialization.
-  /// That matters in match_batch: re-zeroing kMaxMatchDepth offsets per
-  /// host would cost more than the walk it prepares.
-  bool init(Cursor c, std::string_view raw_host) noexcept {
-    cursor = c;
-    host = raw_host;
-    best_len = 1;
-    explicit_rule = false;
-    best_section = Section::kIcann;
-    best_kind = RuleKind::kNormal;
-    exception_depth = 0;
-    walking = true;
-    depth = 0;
-    degenerate = false;
-    if (!host.empty() && host.back() == '.') host.remove_suffix(1);
-    if (host.empty() || host.back() == '.') {
-      degenerate = true;
-      return false;
-    }
-    scan_label(host.size());
-    return true;
-  }
-
-  /// Consume the scanned label (one trie descend + rule bookkeeping), then
-  /// scan the next. Returns false once the walk is complete.
-  bool step() noexcept {
+    const std::size_t label_start = pos;
+    const std::size_t dot = pos == 0 ? npos : pos - 1;
     ++depth;
     if (depth >= kMaxMatchDepth) {  // unreachable for DNS-shaped hosts
       --depth;
-      return false;
+      break;
     }
-    starts[depth] = next_start;
+    starts[depth] = label_start;
 
     if (walking) {
-      const std::string_view label = host.substr(next_start, next_end - next_start);
+      const std::string_view label = host.substr(label_start, label_end - label_start);
       if (label.empty()) {
         walking = false;  // malformed host ("a..b"); the walk stops here
       } else {
         // A wildcard on the current node covers this label, whatever it is.
-        if (cursor.has_wildcard() && depth >= best_len) {
+        // Once an exception has matched it prevails, so deeper normal and
+        // wildcard rules must not overwrite its section.
+        if (exception_depth == 0 && cursor.has_wildcard() && depth >= best_len) {
           best_len = depth;
           best_section = cursor.wildcard_section();
           best_kind = RuleKind::kWildcard;
           explicit_rule = true;
         }
-        if (!cursor.descend(label, next_hash)) {
+        if (!cursor.descend(label, h)) {
           walking = false;
         } else {
-          if (cursor.has_normal() && depth >= best_len) {
+          if (exception_depth == 0 && cursor.has_normal() && depth >= best_len) {
             best_len = depth;
             best_section = cursor.normal_section();
             best_kind = RuleKind::kNormal;
@@ -186,49 +135,33 @@ struct MatchWalkState {
     }
     if (!walking) {
       const std::size_t needed = (exception_depth > 0 ? exception_depth - 1 : best_len) + 1;
-      if (depth >= needed) return false;
+      if (depth >= needed) break;
     }
-    if (next_dot == npos) return false;
-    scan_label(next_dot);
-    return true;
+    if (dot == npos) break;
+    label_end = dot;
   }
 
-  /// The MatchView epilogue over the final bookkeeping.
-  MatchView finish() const noexcept {
-    MatchView out;
-    if (degenerate) return out;
-    const std::size_t ps_len = exception_depth > 0 ? exception_depth - 1 : best_len;
-    out.public_suffix = ps_len == 0 ? std::string_view{} : host.substr(starts[ps_len]);
-    out.registrable_domain = depth > ps_len ? host.substr(starts[ps_len + 1]) : std::string_view{};
-    out.matched_explicit_rule = explicit_rule;
-    out.section = best_section;
-    out.rule_labels = ps_len;
-    if (explicit_rule) {
-      if (exception_depth > 0) {
-        out.rule_kind = RuleKind::kException;
-        out.rule_span = host.substr(starts[exception_depth]);
-      } else if (best_kind == RuleKind::kWildcard) {
-        out.rule_kind = RuleKind::kWildcard;
-        // The wildcard rule's stored labels are the suffix minus its leftmost
-        // (the '*') label.
-        out.rule_span = best_len > 1 ? host.substr(starts[best_len - 1]) : std::string_view{};
-      } else {
-        out.rule_kind = RuleKind::kNormal;
-        out.rule_span = out.public_suffix;
-      }
-    }
-    return out;
-  }
-};
-
-template <typename Cursor>
-MatchView match_walk(Cursor cursor, std::string_view host) {
-  MatchWalkState<Cursor> state;
-  if (state.init(cursor, host)) {
-    while (state.step()) {
+  const std::size_t ps_len = exception_depth > 0 ? exception_depth - 1 : best_len;
+  out.public_suffix = ps_len == 0 ? std::string_view{} : host.substr(starts[ps_len]);
+  out.registrable_domain = depth > ps_len ? host.substr(starts[ps_len + 1]) : std::string_view{};
+  out.matched_explicit_rule = explicit_rule;
+  out.section = best_section;
+  out.rule_labels = ps_len;
+  if (explicit_rule) {
+    if (exception_depth > 0) {
+      out.rule_kind = RuleKind::kException;
+      out.rule_span = host.substr(starts[exception_depth]);
+    } else if (best_kind == RuleKind::kWildcard) {
+      out.rule_kind = RuleKind::kWildcard;
+      // The wildcard rule's stored labels are the suffix minus its leftmost
+      // (the '*') label.
+      out.rule_span = best_len > 1 ? host.substr(starts[best_len - 1]) : std::string_view{};
+    } else {
+      out.rule_kind = RuleKind::kNormal;
+      out.rule_span = out.public_suffix;
     }
   }
-  return state.finish();
+  return out;
 }
 
 }  // namespace psl::detail

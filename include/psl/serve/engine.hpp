@@ -84,10 +84,6 @@ class StoreView;
 struct DivergenceRange;
 }  // namespace psl::store
 
-namespace psl::updater {
-class DeltaCompiler;
-}  // namespace psl::updater
-
 namespace psl::serve {
 
 struct EngineOptions {
@@ -237,24 +233,6 @@ class Engine {
                                                 const snapshot::Metadata& meta)>;
   void set_generation_listener(GenerationListener listener);
 
-  // --- delta reload (incremental recompile; implemented in src/updater so
-  // --- psl_serve does not link psl_updater — callers needing these link
-  // --- psl_updater, as bench_update and the tests do) ---------------------
-
-  /// Seed the delta-recompile pipeline: keep `list` and a persistent
-  /// updater::DeltaCompiler alongside the engine, compile, and swap.
-  /// Returns the new generation. When meta.rule_count is 0 it is filled
-  /// from the list's rule count.
-  std::uint64_t load_list(List list, snapshot::Metadata meta = {});
-  /// Incremental reload: diff `newer` against the list most recently given
-  /// to load_list/reload_delta, patch only the affected arena subtries
-  /// (O(diff) — see updater::DeltaCompiler), and swap. Errors:
-  /// "serve.no-delta-state" when load_list was never called. The
-  /// delta-compiled arena is structurally equivalent to a from-scratch
-  /// compile of `newer` (the equivalence contract DeltaCompiler's tests
-  /// sweep across the history corpus).
-  util::Result<std::uint64_t> reload_delta(List newer, snapshot::Metadata meta = {});
-
   // --- multi-version store (time-travel; implemented in src/store so
   // --- psl_serve does not link psl_store — callers needing these link
   // --- psl_store, which psl_net and the tools already do) -----------------
@@ -331,12 +309,6 @@ class Engine {
 
   mutable std::mutex store_mutex_;  ///< held only to copy/replace store_
   std::shared_ptr<const store::StoreView> store_;
-
-  /// Delta-reload state (persistent DeltaCompiler + the list it mirrors),
-  /// defined in src/updater/engine_delta.cpp. Guarded by delta_mutex_.
-  struct DeltaState;
-  std::mutex delta_mutex_;
-  std::shared_ptr<DeltaState> delta_;
 
   std::mutex listener_mutex_;  ///< guards generation_listener_
   GenerationListener generation_listener_;

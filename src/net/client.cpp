@@ -51,7 +51,7 @@ util::Error status_error(Status status, std::string_view detail) {
 }  // namespace
 
 Client::Client(int fd, ClientOptions options)
-    : fd_(fd), options_(options), decoder_(options.max_frame_bytes), cache_(options.cache_slots) {
+    : fd_(fd), options_(options), decoder_(options.max_frame_bytes) {
   recv_scratch_.resize(64 * 1024);
 }
 
@@ -68,9 +68,7 @@ Client::Client(Client&& other) noexcept
       udp_(other.udp_),
       subscribed_(other.subscribed_),
       pushed_generation_(other.pushed_generation_),
-      push_callback_(std::move(other.push_callback_)),
-      cache_(std::move(other.cache_)),
-      cache_generation_(other.cache_generation_) {
+      push_callback_(std::move(other.push_callback_)) {
   other.fd_ = -1;
 }
 
@@ -90,8 +88,6 @@ Client& Client::operator=(Client&& other) noexcept {
     subscribed_ = other.subscribed_;
     pushed_generation_ = other.pushed_generation_;
     push_callback_ = std::move(other.push_callback_);
-    cache_ = std::move(other.cache_);
-    cache_generation_ = other.cache_generation_;
     other.fd_ = -1;
   }
   return *this;
@@ -498,60 +494,11 @@ util::Result<std::vector<WireDivergenceRange>> Client::divergence(const std::str
 
 util::Result<std::vector<std::string>> Client::registrable_domains(
     const std::vector<std::string>& hosts) {
-  // Cached path: only with slots configured AND an active subscription —
-  // the pushed generation is the invalidation signal, so serving cached
-  // boundaries without one could hand out stale answers forever.
-  if (!cache_.enabled() || !subscribed_) {
-    auto matches = match_batch(hosts);
-    if (!matches.ok()) return matches.error();
-    std::vector<std::string> out;
-    out.reserve(matches->size());
-    for (WireMatch& m : *matches) out.push_back(std::move(m.registrable_domain));
-    return out;
-  }
-
-  // Drain pending pushes BEFORE consulting the cache: a generation change
-  // sitting unread in the socket must invalidate, not be discovered after
-  // stale hits were already served. A drain failure means the connection
-  // died; surface that instead of answering from a cache we can no longer
-  // invalidate.
-  if (auto drained = poll_pushes(); !drained.ok()) return drained.error();
-  if (cache_generation_ != pushed_generation_) reset_cache(pushed_generation_);
-
-  std::vector<std::string> out(hosts.size());
-  std::vector<std::string> miss_hosts;
-  std::vector<std::size_t> miss_index;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    const std::uint64_t hash = serve::RegDomainCache::hash_host(hosts[i]);
-    std::uint32_t rd_len = 0;
-    if (cache_.lookup(hash, rd_len)) {
-      if (rd_len != serve::RegDomainCache::kNoDomain && rd_len <= hosts[i].size()) {
-        out[i] = hosts[i].substr(hosts[i].size() - rd_len);
-      }
-      continue;  // kNoDomain -> "" (already default-constructed)
-    }
-    miss_index.push_back(i);
-    miss_hosts.push_back(hosts[i]);
-  }
-  if (miss_hosts.empty()) return out;
-
-  auto matches = match_batch(miss_hosts);
+  auto matches = match_batch(hosts);
   if (!matches.ok()) return matches.error();
-  for (std::size_t m = 0; m < matches->size(); ++m) {
-    const std::size_t i = miss_index[m];
-    std::string& domain = (*matches)[m].registrable_domain;
-    // Cache entries are suffix LENGTHS of the queried host; a boundary the
-    // server normalized into something that is not a literal suffix (rare:
-    // trailing-dot hosts) is served but not cached.
-    if (domain.empty()) {
-      cache_.insert(serve::RegDomainCache::hash_host(hosts[i]),
-                    serve::RegDomainCache::kNoDomain);
-    } else if (hosts[i].ends_with(domain)) {
-      cache_.insert(serve::RegDomainCache::hash_host(hosts[i]),
-                    static_cast<std::uint32_t>(domain.size()));
-    }
-    out[i] = std::move(domain);
-  }
+  std::vector<std::string> out;
+  out.reserve(matches->size());
+  for (WireMatch& m : *matches) out.push_back(std::move(m.registrable_domain));
   return out;
 }
 
@@ -578,11 +525,8 @@ util::Result<std::uint64_t> Client::subscribe() {
     return util::make_error("net.protocol", "bad subscribe response body");
   }
   subscribed_ = true;
-  // The subscribe response pins where this connection's knowledge starts;
-  // the cache re-keys here so pre-subscription state can never satisfy a
-  // post-subscription lookup.
+  // The subscribe response pins where this connection's knowledge starts.
   pushed_generation_ = generation;
-  reset_cache(generation);
   return generation;
 }
 
@@ -638,18 +582,12 @@ util::Result<bool> Client::reconnect() {
   fd_ = fresh->fd_;
   fresh->fd_ = -1;
   decoder_ = FrameDecoder(options_.max_frame_bytes);
-  reset_cache(0);
   pushed_generation_ = 0;
   if (subscribed_) {
     subscribed_ = false;  // re-established by the subscribe below
     if (auto generation = subscribe(); !generation.ok()) return generation.error();
   }
   return true;
-}
-
-void Client::reset_cache(std::uint64_t generation) {
-  if (cache_.enabled()) cache_ = serve::RegDomainCache(options_.cache_slots);
-  cache_generation_ = generation;
 }
 
 util::Result<std::uint64_t> Client::reload(std::span<const std::uint8_t> snapshot_bytes) {

@@ -4,7 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,23 +15,6 @@
 
 #include "psl/analytics/census.hpp"
 #include "psl/store/store.hpp"
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
-
-// The io_uring backend talks to the kernel through raw syscalls (no liburing
-// dependency); it is compiled in only where the uapi header exists and still
-// probes at runtime before first use (Server::io_uring_supported()).
-#if defined(__linux__) && __has_include(<linux/io_uring.h>)
-#define PSL_HAVE_IO_URING 1
-#include <linux/io_uring.h>
-#include <linux/time_types.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#else
-#define PSL_HAVE_IO_URING 0
-#endif
 
 namespace psl::net {
 
@@ -54,438 +37,17 @@ void set_nodelay(int fd) {
 /// How long the listener stays parked after accept() hits fd exhaustion.
 constexpr int kAcceptRetryMs = 100;
 
-}  // namespace
-
-// --- Poller: the epoll/poll readiness backend -------------------------------
-
-class Poller {
- public:
-  struct Event {
-    int fd = -1;
-    bool readable = false;
-    bool writable = false;
-    bool error = false;
-  };
-
-  virtual ~Poller() = default;
-  virtual bool add(int fd, bool want_read, bool want_write) = 0;
-  virtual bool mod(int fd, bool want_read, bool want_write) = 0;
-  virtual void del(int fd) = 0;
-  /// Fill `out` (cleared first) with ready fds; timeout_ms < 0 blocks.
-  virtual int wait(std::vector<Event>& out, int timeout_ms) = 0;
-  virtual const char* name() const noexcept = 0;
-
-  /// Resolve `backend` to a concrete poller. kAuto prefers epoll where
-  /// available; kIoUring returns nullptr when the kernel cannot run it (the
-  /// caller turns that into a "net.backend" error — no silent substitution
-  /// of an explicitly requested backend).
-  static std::unique_ptr<Poller> make(Backend backend);
-};
-
-namespace {
-
-/// Portable backend: one pollfd per fd, O(n) wait. n is bounded by
-/// max_connections, so this stays serviceable where epoll is unavailable.
-class PollPoller final : public Poller {
- public:
-  bool add(int fd, bool want_read, bool want_write) override {
-    if (index_.count(fd) != 0) return false;
-    index_[fd] = fds_.size();
-    fds_.push_back(pollfd{fd, events_of(want_read, want_write), 0});
-    return true;
-  }
-
-  bool mod(int fd, bool want_read, bool want_write) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return false;
-    fds_[it->second].events = events_of(want_read, want_write);
-    return true;
-  }
-
-  void del(int fd) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const std::size_t pos = it->second;
-    index_.erase(it);
-    if (pos + 1 != fds_.size()) {
-      fds_[pos] = fds_.back();
-      index_[fds_[pos].fd] = pos;
-    }
-    fds_.pop_back();
-  }
-
-  int wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return n;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event ev;
-      ev.fd = p.fd;
-      // POLLHUP surfaces as readable so the read path observes EOF.
-      ev.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      ev.writable = (p.revents & POLLOUT) != 0;
-      ev.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out.push_back(ev);
-    }
-    return n;
-  }
-
-  const char* name() const noexcept override { return "poll"; }
-
- private:
-  static short events_of(bool want_read, bool want_write) {
-    return static_cast<short>((want_read ? POLLIN : 0) | (want_write ? POLLOUT : 0));
-  }
-
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, std::size_t> index_;
-};
-
-#if defined(__linux__)
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  }
-
-  bool ok() const { return epoll_fd_ >= 0; }
-
-  bool add(int fd, bool want_read, bool want_write) override {
-    return ctl(EPOLL_CTL_ADD, fd, want_read, want_write);
-  }
-  bool mod(int fd, bool want_read, bool want_write) override {
-    return ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
-  }
-  void del(int fd) override { ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr); }
-
-  int wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    epoll_event events[64];
-    const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      Event ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.error = (events[i].events & EPOLLERR) != 0;
-      out.push_back(ev);
-    }
-    return n;
-  }
-
-  const char* name() const noexcept override { return "epoll"; }
-
- private:
-  bool ctl(int op, int fd, bool want_read, bool want_write) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    return ::epoll_ctl(epoll_fd_, op, fd, &ev) == 0;
-  }
-
-  int epoll_fd_;
-};
-#endif  // __linux__
-
-#if PSL_HAVE_IO_URING
-
-int sys_io_uring_setup(unsigned entries, io_uring_params* params) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, params));
+/// Level-triggered interest in `fd` (op = EPOLL_CTL_ADD or EPOLL_CTL_MOD).
+void watch(int epoll_fd, int op, int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  ::epoll_ctl(epoll_fd, op, fd, &ev);
 }
 
-int sys_io_uring_enter(int ring_fd, unsigned to_submit, unsigned min_complete, unsigned flags,
-                       const void* arg, std::size_t argsz) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_enter, ring_fd, to_submit, min_complete, flags, arg, argsz));
-}
-
-/// io_uring backend with poll()-equivalent level-triggered semantics: every
-/// watched fd is armed with a ONE-SHOT IORING_OP_POLL_ADD; a completion
-/// disarms it and the next wait() re-arms it with the fd's current interest
-/// mask. That costs one SQE per *ready* fd per loop iteration (idle fds stay
-/// armed for free) and keeps the Server's event-loop logic — which was
-/// written against level-triggered poll/epoll — valid without modification.
-///
-/// Interest changes (mod/del) cancel the in-flight arm with
-/// IORING_OP_POLL_REMOVE and bump the fd's arm token; CQEs carry
-/// (fd, token) in user_data, so a completion from a canceled arm that raced
-/// the cancellation is recognized as stale and dropped instead of being
-/// misread as fresh readiness for the new interest mask.
-class IoUringPoller final : public Poller {
- public:
-  /// Set up the ring; nullptr when the kernel cannot run this backend
-  /// (ENOSYS, the io_uring_disabled sysctl, or missing EXT_ARG timed waits).
-  static std::unique_ptr<IoUringPoller> try_make() {
-    auto poller = std::unique_ptr<IoUringPoller>(new IoUringPoller());
-    if (!poller->init()) return nullptr;
-    return poller;
-  }
-
-  ~IoUringPoller() override {
-    if (sqes_ != nullptr) ::munmap(sqes_, sqes_bytes_);
-    if (sq_ring_ != nullptr) ::munmap(sq_ring_, sq_ring_bytes_);
-    if (cq_ring_ != nullptr && cq_ring_ != sq_ring_) ::munmap(cq_ring_, cq_ring_bytes_);
-    if (ring_fd_ >= 0) ::close(ring_fd_);
-  }
-
-  bool add(int fd, bool want_read, bool want_write) override {
-    if (states_.count(fd) != 0) return false;
-    states_[fd] = FdState{want_read, want_write, false, next_token_++};
-    return true;
-  }
-
-  bool mod(int fd, bool want_read, bool want_write) override {
-    auto it = states_.find(fd);
-    if (it == states_.end()) return false;
-    FdState& s = it->second;
-    if (s.want_read == want_read && s.want_write == want_write) return true;
-    if (s.armed) cancel_arm(fd, s);
-    s.want_read = want_read;
-    s.want_write = want_write;
-    return true;
-  }
-
-  void del(int fd) override {
-    auto it = states_.find(fd);
-    if (it == states_.end()) return;
-    if (it->second.armed) cancel_arm(fd, it->second);
-    states_.erase(it);
-    // Flush the POLL_REMOVE now: the caller is about to close(fd), and the
-    // armed POLL_ADD holds a reference on the file until canceled.
-    submit_pending(0, nullptr, 0, 0);
-  }
-
-  int wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    for (auto& [fd, s] : states_) {
-      if (s.armed) continue;
-      io_uring_sqe* sqe = next_sqe();
-      if (sqe == nullptr) break;  // ring full; the rest re-arm next wait
-      sqe->opcode = IORING_OP_POLL_ADD;
-      sqe->fd = fd;
-      // POLLERR/POLLHUP are always reported, as with poll(2), even when the
-      // interest mask is empty (a write-stalled connection being back-
-      // pressured still notices the peer vanishing).
-      sqe->poll32_events = (s.want_read ? POLLIN : 0u) | (s.want_write ? POLLOUT : 0u);
-      sqe->user_data = pack(fd, s.token);
-      s.armed = true;
-    }
-
-    io_uring_getevents_arg arg{};
-    __kernel_timespec ts{};
-    const void* argp = nullptr;
-    std::size_t argsz = 0;
-    unsigned flags = IORING_ENTER_GETEVENTS;
-    unsigned min_complete = 1;
-    if (timeout_ms == 0) {
-      min_complete = 0;
-    } else if (timeout_ms > 0) {
-      ts.tv_sec = timeout_ms / 1000;
-      ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1'000'000;
-      arg.ts = reinterpret_cast<std::uint64_t>(&ts);
-      argp = &arg;
-      argsz = sizeof arg;
-      flags |= IORING_ENTER_EXT_ARG;
-    }
-    submit_pending(min_complete, argp, argsz, flags);  // ETIME/EINTR: reap & return
-
-    int n = 0;
-    const unsigned tail = cq_tail_->load(std::memory_order_acquire);
-    unsigned head = cq_head_->load(std::memory_order_relaxed);
-    for (; head != tail; ++head) {
-      const io_uring_cqe& cqe = cqes_[head & cq_mask_];
-      if (cqe.user_data == kCancelData) continue;  // a POLL_REMOVE's own CQE
-      const int fd = unpack_fd(cqe.user_data);
-      const std::uint32_t token = unpack_token(cqe.user_data);
-      auto it = states_.find(fd);
-      if (it == states_.end() || it->second.token != token) continue;  // stale arm
-      it->second.armed = false;
-      if (cqe.res == -ECANCELED) continue;
-      Event ev;
-      ev.fd = fd;
-      if (cqe.res < 0) {
-        ev.error = true;  // e.g. -EBADF: surface as an error event
-      } else {
-        const unsigned mask = static_cast<unsigned>(cqe.res);
-        ev.readable = (mask & (POLLIN | POLLHUP)) != 0;
-        ev.writable = (mask & POLLOUT) != 0;
-        ev.error = (mask & (POLLERR | POLLNVAL)) != 0;
-      }
-      out.push_back(ev);
-      ++n;
-    }
-    cq_head_->store(head, std::memory_order_release);
-    return n;
-  }
-
-  const char* name() const noexcept override { return "io_uring"; }
-
- private:
-  struct FdState {
-    bool want_read = false;
-    bool want_write = false;
-    bool armed = false;          ///< a one-shot POLL_ADD is in flight
-    std::uint32_t token = 0;     ///< arm identity; bumped on cancel
-  };
-
-  IoUringPoller() = default;
-
-  static constexpr unsigned kEntries = 256;
-  static constexpr std::uint64_t kCancelData = ~std::uint64_t{0};
-
-  static std::uint64_t pack(int fd, std::uint32_t token) {
-    return (static_cast<std::uint64_t>(token) << 32) | static_cast<std::uint32_t>(fd);
-  }
-  static int unpack_fd(std::uint64_t data) { return static_cast<int>(data & 0xFFFFFFFFu); }
-  static std::uint32_t unpack_token(std::uint64_t data) {
-    return static_cast<std::uint32_t>(data >> 32);
-  }
-
-  bool init() {
-    io_uring_params params{};
-    ring_fd_ = sys_io_uring_setup(kEntries, &params);
-    if (ring_fd_ < 0) return false;
-    // EXT_ARG (5.11+) carries the wait timeout through io_uring_enter —
-    // without it every timed wait would need a TIMEOUT SQE competing for
-    // ring space. Treat its absence as "kernel too old for this backend".
-    if ((params.features & IORING_FEAT_EXT_ARG) == 0) return false;
-
-    sq_ring_bytes_ = params.sq_off.array + params.sq_entries * sizeof(std::uint32_t);
-    cq_ring_bytes_ = params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
-    const bool single_mmap = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (single_mmap) sq_ring_bytes_ = cq_ring_bytes_ = std::max(sq_ring_bytes_, cq_ring_bytes_);
-
-    sq_ring_ = ::mmap(nullptr, sq_ring_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_POPULATE,
-                      ring_fd_, IORING_OFF_SQ_RING);
-    if (sq_ring_ == MAP_FAILED) {
-      sq_ring_ = nullptr;
-      return false;
-    }
-    if (single_mmap) {
-      cq_ring_ = sq_ring_;
-    } else {
-      cq_ring_ = ::mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_CQ_RING);
-      if (cq_ring_ == MAP_FAILED) {
-        cq_ring_ = nullptr;
-        return false;
-      }
-    }
-    sqes_bytes_ = params.sq_entries * sizeof(io_uring_sqe);
-    sqes_ = static_cast<io_uring_sqe*>(::mmap(nullptr, sqes_bytes_, PROT_READ | PROT_WRITE,
-                                              MAP_SHARED | MAP_POPULATE, ring_fd_,
-                                              IORING_OFF_SQES));
-    if (sqes_ == MAP_FAILED) {
-      sqes_ = nullptr;
-      return false;
-    }
-
-    auto* sq = static_cast<std::uint8_t*>(sq_ring_);
-    sq_head_ = reinterpret_cast<std::atomic<unsigned>*>(sq + params.sq_off.head);
-    sq_tail_ = reinterpret_cast<std::atomic<unsigned>*>(sq + params.sq_off.tail);
-    sq_mask_ = *reinterpret_cast<unsigned*>(sq + params.sq_off.ring_mask);
-    sq_array_ = reinterpret_cast<unsigned*>(sq + params.sq_off.array);
-    auto* cq = static_cast<std::uint8_t*>(cq_ring_);
-    cq_head_ = reinterpret_cast<std::atomic<unsigned>*>(cq + params.cq_off.head);
-    cq_tail_ = reinterpret_cast<std::atomic<unsigned>*>(cq + params.cq_off.tail);
-    cq_mask_ = *reinterpret_cast<unsigned*>(cq + params.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<io_uring_cqe*>(cq + params.cq_off.cqes);
-    local_tail_ = sq_tail_->load(std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Next free SQE (zeroed, already indexed in the SQ array), or nullptr
-  /// when the ring is full.
-  io_uring_sqe* next_sqe() {
-    const unsigned head = sq_head_->load(std::memory_order_acquire);
-    if (local_tail_ - head >= kEntries) return nullptr;
-    io_uring_sqe* sqe = &sqes_[local_tail_ & sq_mask_];
-    std::memset(sqe, 0, sizeof *sqe);
-    sq_array_[local_tail_ & sq_mask_] = local_tail_ & sq_mask_;
-    ++local_tail_;
-    return sqe;
-  }
-
-  /// Cancel `fd`'s in-flight arm and retire its token. The POLL_REMOVE SQE
-  /// is queued here and flushed by the caller (del() immediately, mod() at
-  /// the next wait()).
-  void cancel_arm(int fd, FdState& s) {
-    io_uring_sqe* sqe = next_sqe();
-    if (sqe == nullptr) {
-      submit_pending(0, nullptr, 0, 0);
-      sqe = next_sqe();
-    }
-    if (sqe != nullptr) {
-      sqe->opcode = IORING_OP_POLL_REMOVE;
-      sqe->addr = pack(fd, s.token);  // user_data of the arm to cancel
-      sqe->user_data = kCancelData;
-    }
-    // Even if the ring was too full to queue the cancel, the token bump
-    // makes any late completion stale — the old arm can only leak until its
-    // fd next becomes ready, never corrupt readiness.
-    s.token = next_token_++;
-    s.armed = false;
-  }
-
-  /// Publish queued SQEs and (optionally) wait for completions.
-  void submit_pending(unsigned min_complete, const void* argp, std::size_t argsz,
-                      unsigned flags) {
-    sq_tail_->store(local_tail_, std::memory_order_release);
-    const unsigned to_submit = local_tail_ - sq_head_->load(std::memory_order_acquire);
-    if (to_submit == 0 && min_complete == 0 && (flags & IORING_ENTER_GETEVENTS) == 0) return;
-    (void)sys_io_uring_enter(ring_fd_, to_submit, min_complete, flags, argp, argsz);
-    // ETIME (timed out), EINTR (signal): both fine — the caller reaps
-    // whatever completed. Submission errors leave arms pending and the
-    // affected fds simply re-arm on a later wait.
-  }
-
-  int ring_fd_ = -1;
-  void* sq_ring_ = nullptr;
-  void* cq_ring_ = nullptr;
-  io_uring_sqe* sqes_ = nullptr;
-  std::size_t sq_ring_bytes_ = 0, cq_ring_bytes_ = 0, sqes_bytes_ = 0;
-  std::atomic<unsigned>* sq_head_ = nullptr;
-  std::atomic<unsigned>* sq_tail_ = nullptr;
-  unsigned* sq_array_ = nullptr;
-  unsigned sq_mask_ = 0;
-  std::atomic<unsigned>* cq_head_ = nullptr;
-  std::atomic<unsigned>* cq_tail_ = nullptr;
-  io_uring_cqe* cqes_ = nullptr;
-  unsigned cq_mask_ = 0;
-  unsigned local_tail_ = 0;
-
-  std::uint32_t next_token_ = 1;
-  std::unordered_map<int, FdState> states_;
-};
-
-#endif  // PSL_HAVE_IO_URING
+void unwatch(int epoll_fd, int fd) { ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr); }
 
 }  // namespace
-
-std::unique_ptr<Poller> Poller::make(Backend backend) {
-  switch (backend) {
-    case Backend::kPoll:
-      return std::make_unique<PollPoller>();
-    case Backend::kIoUring:
-#if PSL_HAVE_IO_URING
-      return IoUringPoller::try_make();  // nullptr when the kernel can't
-#else
-      return nullptr;
-#endif
-    case Backend::kEpoll:
-    case Backend::kAuto:
-      break;
-  }
-#if defined(__linux__)
-  {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->ok()) return epoll;
-  }
-#endif
-  return backend == Backend::kEpoll ? nullptr : std::make_unique<PollPoller>();
-}
 
 // --- connection + completion state ------------------------------------------
 
@@ -566,32 +128,10 @@ Server::Server(serve::Engine& engine, ServerOptions options)
 
 Server::~Server() { shutdown(); }
 
-bool Server::io_uring_supported() {
-#if PSL_HAVE_IO_URING
-  static const bool supported = [] { return IoUringPoller::try_make() != nullptr; }();
-  return supported;
-#else
-  return false;
-#endif
-}
-
 util::Result<std::uint16_t> Server::start() {
   if (running_.load(std::memory_order_acquire)) {
     return util::make_error("net.started", "server is already running");
   }
-
-  // Resolve the backend before touching any socket so an unsupported
-  // explicit request fails with nothing to unwind.
-  const Backend backend = options_.force_poll ? Backend::kPoll : options_.backend;
-  poller_ = Poller::make(backend);
-  if (!poller_) {
-    return util::make_error(
-        "net.backend",
-        backend == Backend::kIoUring
-            ? "io_uring backend unavailable on this kernel (probe Server::io_uring_supported)"
-            : "requested event backend unavailable");
-  }
-  backend_name_ = poller_->name();
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -670,9 +210,18 @@ util::Result<std::uint16_t> Server::start() {
   set_nonblocking(wake_read_fd_);
   set_nonblocking(wake_write_fd_);
 
-  poller_->add(listen_fd_, true, false);
-  poller_->add(wake_read_fd_, true, false);
-  if (udp_fd_ >= 0) poller_->add(udp_fd_, true, false);
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) {
+    const auto err = util::make_error("net.listen", errno_text("epoll_create1"));
+    for (int* fd : {&wake_read_fd_, &wake_write_fd_, &listen_fd_, &udp_fd_}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
+    return err;
+  }
+  watch(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, true, false);
+  watch(epoll_fd_, EPOLL_CTL_ADD, wake_read_fd_, true, false);
+  if (udp_fd_ >= 0) watch(epoll_fd_, EPOLL_CTL_ADD, udp_fd_, true, false);
 
   read_scratch_.resize(64 * 1024);
   stop_requested_.store(false, std::memory_order_release);
@@ -736,7 +285,8 @@ void Server::shutdown() {
     ::close(udp_fd_);
     udp_fd_ = -1;
   }
-  poller_.reset();
+  ::close(epoll_fd_);
+  epoll_fd_ = -1;
   running_.store(false, std::memory_order_release);
 }
 
@@ -765,7 +315,8 @@ void Server::release_buffer(std::vector<std::uint8_t> buffer) {
 
 void Server::loop() {
   using Clock = std::chrono::steady_clock;
-  std::vector<Poller::Event> events;
+  constexpr int kMaxEvents = 64;
+  epoll_event events[kMaxEvents];
   bool draining = false;
   Clock::time_point drain_deadline{};
 
@@ -775,8 +326,8 @@ void Server::loop() {
     if (stop_requested_.load(std::memory_order_acquire) && !draining) {
       draining = true;
       drain_deadline = now + std::chrono::milliseconds(options_.drain_timeout_ms);
-      poller_->del(listen_fd_);
-      if (udp_fd_ >= 0) poller_->del(udp_fd_);
+      unwatch(epoll_fd_, listen_fd_);
+      if (udp_fd_ >= 0) unwatch(epoll_fd_, udp_fd_);
       for (auto& [id, conn] : connections_) {
         conn->draining = true;
         update_read_interest(*conn);
@@ -834,7 +385,7 @@ void Server::loop() {
     // Un-park the listener once the fd-exhaustion backoff elapses.
     if (accept_paused_ && !draining && now >= accept_resume_at_) {
       accept_paused_ = false;
-      poller_->add(listen_fd_, true, false);
+      watch(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, true, false);
     }
 
     int timeout_ms = next_timeout_ms(now);
@@ -851,15 +402,15 @@ void Server::loop() {
       timeout_ms = timeout_ms < 0 ? drain_left : std::min(timeout_ms, drain_left);
     }
 
-    poller_->wait(events, timeout_ms);
+    const int ready = std::max(0, ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms));
 
     // Drain the wake pipe BEFORE anything that can make a worker write to
     // it. Draining it mid-batch (after dispatching a connection's request)
     // could swallow a byte the worker wrote for a completion that
     // drain_completions() already missed this iteration — the next wait()
     // would then block indefinitely with that response stranded.
-    for (const Poller::Event& ev : events) {
-      if (ev.fd != wake_read_fd_) continue;
+    for (int i = 0; i < ready; ++i) {
+      if (events[i].data.fd != wake_read_fd_) continue;
       std::uint8_t sink[256];
       while (::read(wake_read_fd_, sink, sizeof sink) > 0) {
       }
@@ -869,24 +420,28 @@ void Server::loop() {
     broadcast_generation();
 
     bool accept_ready = false;
-    for (const Poller::Event& ev : events) {
-      if (ev.fd == wake_read_fd_) continue;  // drained above
-      if (ev.fd == listen_fd_) {
+    for (int i = 0; i < ready; ++i) {
+      const int fd = events[i].data.fd;
+      const std::uint32_t mask = events[i].events;
+      if (fd == wake_read_fd_) continue;  // drained above
+      if (fd == listen_fd_) {
         accept_ready = true;  // handled after existing connections, so a
         continue;             // just-closed fd cannot alias a fresh accept
       }
-      if (udp_fd_ >= 0 && ev.fd == udp_fd_) {
+      if (udp_fd_ >= 0 && fd == udp_fd_) {
         if (!draining) handle_udp();
         continue;
       }
-      auto it = fd_to_conn_.find(ev.fd);
+      auto it = fd_to_conn_.find(fd);
       if (it == fd_to_conn_.end()) continue;  // closed earlier this batch
       const std::uint64_t conn_id = it->second;
       Connection& conn = *connections_.at(conn_id);
-      bool alive = true;
-      if (ev.error) alive = false;
-      if (alive && ev.readable && conn.want_read) alive = handle_readable(conn);
-      if (alive && ev.writable) alive = flush_writes(conn);
+      // EPOLLHUP counts as readable so the read path observes EOF.
+      bool alive = (mask & EPOLLERR) == 0;
+      if (alive && (mask & (EPOLLIN | EPOLLHUP)) != 0 && conn.want_read) {
+        alive = handle_readable(conn);
+      }
+      if (alive && (mask & EPOLLOUT) != 0) alive = flush_writes(conn);
       if (!alive) close_connection(conn_id);
     }
     if (accept_ready && !draining) handle_accept();
@@ -934,7 +489,7 @@ void Server::handle_accept() {
         // fd/buffer exhaustion: the backlog stays ready, so level-triggered
         // wakeups would hot-spin the loop. Park the listener and retry once
         // the backoff elapses (pending clients just wait in the backlog).
-        poller_->del(listen_fd_);
+        unwatch(epoll_fd_, listen_fd_);
         accept_paused_ = true;
         accept_resume_at_ =
             std::chrono::steady_clock::now() + std::chrono::milliseconds(kAcceptRetryMs);
@@ -954,7 +509,7 @@ void Server::handle_accept() {
     const std::uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Connection>(id, fd, options_.max_frame_bytes);
     conn->last_activity = std::chrono::steady_clock::now();
-    poller_->add(fd, true, false);
+    watch(epoll_fd_, EPOLL_CTL_ADD, fd, true, false);
     fd_to_conn_[fd] = id;
     connections_[id] = std::move(conn);
     if (accepted_) accepted_->add();
@@ -970,7 +525,7 @@ void Server::close_connection(std::uint64_t conn_id) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
   const int fd = it->second->fd;
-  poller_->del(fd);
+  unwatch(epoll_fd_, fd);
   ::close(fd);
   fd_to_conn_.erase(fd);
   connections_.erase(it);
@@ -1050,11 +605,11 @@ bool Server::flush_writes(Connection& conn) {
     conn.out_off = 0;
     if (conn.want_write) {
       conn.want_write = false;
-      poller_->mod(conn.fd, conn.want_read, false);
+      watch(epoll_fd_, EPOLL_CTL_MOD, conn.fd, conn.want_read, false);
     }
   } else if (!conn.want_write) {
     conn.want_write = true;
-    poller_->mod(conn.fd, conn.want_read, true);
+    watch(epoll_fd_, EPOLL_CTL_MOD, conn.fd, conn.want_read, true);
   }
   update_read_interest(conn);
   return true;
@@ -1066,7 +621,7 @@ void Server::update_read_interest(Connection& conn) {
   const bool want = !conn.draining && conn.pending_out() <= options_.max_frame_bytes;
   if (want != conn.want_read) {
     conn.want_read = want;
-    poller_->mod(conn.fd, conn.want_read, conn.want_write);
+    watch(epoll_fd_, EPOLL_CTL_MOD, conn.fd, conn.want_read, conn.want_write);
   }
 }
 
@@ -1411,7 +966,7 @@ void Server::dispatch_frame(Connection& conn, const Frame& frame) {
             thread_local std::vector<MatchView> views;
             parse_match_request(request, hosts);  // validated on the loop thread
             views.resize(hosts.size());
-            pinned.match_batch(hosts, views);  // interleaved + prefetched walk
+            pinned.match_batch(hosts, views);
             std::vector<std::uint8_t> buf = acquire_buffer();
             const std::size_t frame_begin = begin_response_frame(buf, type, id);
             put_u8(buf, static_cast<std::uint8_t>(Status::kOk));

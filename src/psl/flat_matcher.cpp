@@ -61,7 +61,7 @@ struct FlatMatcher::Cursor {
 };
 
 MatchView FlatMatcher::match_view(std::string_view host) const {
-  return detail::match_walk(Cursor{&rules_}, host);
+  return detail::match_walk(Cursor{&rules_, {}, nullptr}, host);
 }
 
 }  // namespace psl

@@ -1,8 +1,7 @@
 // The push channel end to end: subscribe handshake, generation_changed
 // delivery on reload WITHOUT the client issuing a query, slow subscribers
-// reclaimed by the write-stall timeout instead of buffered unboundedly,
-// reconnect re-subscribing and converging, and push-driven invalidation of
-// the client-side registrable-domain cache.
+// reclaimed by the write-stall timeout instead of buffered unboundedly, and
+// reconnect re-subscribing and converging.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -45,8 +44,8 @@ snapshot::Snapshot snap_of(const List& list) {
   return snapshot::Snapshot{CompiledMatcher(list), meta};
 }
 
-Client connect_or_die(std::uint16_t port, ClientOptions options = {}) {
-  auto client = Client::connect("127.0.0.1", port, options);
+Client connect_or_die(std::uint16_t port) {
+  auto client = Client::connect("127.0.0.1", port);
   EXPECT_TRUE(client.ok()) << (client.ok() ? "" : client.error().message);
   if (!client.ok()) std::abort();
   return *std::move(client);
@@ -215,51 +214,6 @@ TEST(NetPushTest, ReconnectResubscribesAndConverges) {
     auto drained = client.poll_pushes();
     EXPECT_TRUE(drained.ok()) << drained.error().message;
     return client.last_pushed_generation() == 3u;
-  }));
-}
-
-TEST(NetPushTest, ClientCacheServesHitsLocallyAndInvalidatesOnPush) {
-  obs::MetricsRegistry metrics;
-  serve::Engine engine(snap_of(list_a()), {.threads = 1, .metrics = &metrics});
-  ServerOptions options;
-  options.metrics = &metrics;
-  Server server(engine, options);
-  auto port = server.start();
-  ASSERT_TRUE(port.ok());
-
-  ClientOptions copts;
-  copts.cache_slots = 1024;
-  Client client = connect_or_die(*port, copts);
-  const std::vector<std::string> hosts{"shop1.myshopify.com"};
-
-  // Unsubscribed, the cache must NOT serve (no invalidation signal): every
-  // call goes to the wire.
-  ASSERT_TRUE(client.registrable_domains(hosts).ok());
-  const double before_subscribe = metrics.counter("net.frames_in").value();
-  ASSERT_TRUE(client.registrable_domains(hosts).ok());
-  EXPECT_GT(metrics.counter("net.frames_in").value(), before_subscribe);
-
-  ASSERT_TRUE(client.subscribe().ok());
-  auto first = client.registrable_domains(hosts);  // miss -> wire, then cached
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ((*first)[0], "myshopify.com");  // list_a: com is the suffix
-
-  const double frames_before = metrics.counter("net.frames_in").value();
-  for (int i = 0; i < 10; ++i) {
-    auto cached = client.registrable_domains(hosts);
-    ASSERT_TRUE(cached.ok());
-    EXPECT_EQ((*cached)[0], "myshopify.com");
-  }
-  // All ten served from the client-side cache: no new request frames.
-  EXPECT_EQ(metrics.counter("net.frames_in").value(), frames_before);
-
-  // The reload's push invalidates the cache; the flipped answer appears once
-  // the push lands, without the client ever re-subscribing or polling stats.
-  engine.reload_list(list_b());
-  EXPECT_TRUE(eventually([&] {
-    auto flipped = client.registrable_domains(hosts);
-    EXPECT_TRUE(flipped.ok());
-    return flipped.ok() && (*flipped)[0] == "shop1.myshopify.com";
   }));
 }
 

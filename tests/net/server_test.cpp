@@ -1,9 +1,8 @@
 // psl::net::Server + Client over real loopback sockets: round trips for
 // every request type, wire-level backpressure (reject, never hang), frame-
 // vs payload-level violation handling, keep-last-good reloads over the
-// wire, timeouts, max-connection shedding, all three poller backends
-// (epoll/poll always, io_uring when the kernel can run it), the UDP fast
-// path and its datagram contract, SO_REUSEPORT load-balancing across two
+// wire, timeouts, max-connection shedding, the UDP fast path and its
+// datagram contract, SO_REUSEPORT load-balancing across two
 // servers on one port, graceful drain, and reload-under-load with
 // concurrent clients (the TSan CI job runs this suite via
 // `ctest -R '^(Serve|Net)'`).
@@ -456,24 +455,6 @@ TEST(NetServerTest, WriteStalledPeerIsTimedOutNotSpunOn) {
   EXPECT_TRUE(client.ping().ok());
 }
 
-TEST(NetServerTest, PollBackendServesIdentically) {
-  serve::Engine engine(snap_of(list_a()), {.threads = 2});
-  ServerOptions options;
-  options.force_poll = true;  // pin the portable poll() backend
-  Server server(engine, options);
-  auto port = server.start();
-  ASSERT_TRUE(port.ok());
-
-  Client client = connect_or_die(*port);
-  EXPECT_TRUE(client.ping().ok());
-  auto domains = client.registrable_domains({"a.b.example.com"});
-  ASSERT_TRUE(domains.ok());
-  EXPECT_EQ((*domains)[0], "example.com");
-  auto good = client.reload(snapshot_bytes(list_b()));
-  ASSERT_TRUE(good.ok());
-  EXPECT_EQ(*good, 2u);
-}
-
 TEST(NetServerTest, GracefulDrainAnswersInFlightBatches) {
   serve::Engine engine(snap_of(list_a()), {.threads = 1, .max_queue_depth = 8});
   Server server(engine, {});
@@ -723,82 +704,6 @@ TEST(NetServerTest, MatchAtMalformedPayloadKeepsConnection) {
   ASSERT_TRUE(raw.recv_frame(response, storage));
   EXPECT_EQ(response.header.id, 93u);
   EXPECT_EQ(response.payload[0], static_cast<std::uint8_t>(Status::kOk));
-}
-
-TEST(NetServerTest, BackendNameReportsTheActiveBackend) {
-  serve::Engine engine(snap_of(list_a()), {.threads = 1});
-  {
-    Server server(engine, {});
-    EXPECT_STREQ(server.backend_name(), "none");  // nothing bound yet
-    ASSERT_TRUE(server.start().ok());
-    EXPECT_STREQ(server.backend_name(), "epoll");  // kAuto resolves to epoll on Linux
-    server.shutdown();
-  }
-  {
-    ServerOptions options;
-    options.backend = Backend::kPoll;
-    Server server(engine, options);
-    ASSERT_TRUE(server.start().ok());
-    EXPECT_STREQ(server.backend_name(), "poll");
-  }
-}
-
-TEST(NetServerTest, IoUringBackendServesIdentically) {
-  if (!Server::io_uring_supported()) {
-    GTEST_SKIP() << "kernel cannot run io_uring";
-  }
-  serve::Engine engine(snap_of(list_a()), {.threads = 2});
-  ServerOptions options;
-  options.backend = Backend::kIoUring;
-  Server server(engine, options);
-  auto port = server.start();
-  ASSERT_TRUE(port.ok()) << port.error().message;
-  EXPECT_STREQ(server.backend_name(), "io_uring");
-
-  Client client = connect_or_die(*port);
-  EXPECT_TRUE(client.ping().ok());
-  auto domains = client.registrable_domains({"a.b.example.com", "x.co.uk"});
-  ASSERT_TRUE(domains.ok()) << domains.error().message;
-  EXPECT_EQ(*domains, (std::vector<std::string>{"example.com", "x.co.uk"}));
-
-  // Reload over the wire and read the flipped answer on the SAME connection,
-  // so completion wakeups (worker -> ring) are exercised too.
-  auto good = client.reload(snapshot_bytes(list_b()));
-  ASSERT_TRUE(good.ok()) << good.error().message;
-  EXPECT_EQ(*good, 2u);
-  auto after = client.registrable_domains({"shop1.myshopify.com"});
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after)[0], "shop1.myshopify.com");
-
-  // Payload-level violations answer kMalformed and keep the connection,
-  // identical to the epoll backend.
-  RawConn raw(*port);
-  std::vector<std::uint8_t> payload;
-  put_u32(payload, 5);  // same_site_batch claiming 5 pairs, no data
-  std::vector<std::uint8_t> wire;
-  encode_frame(wire, static_cast<std::uint8_t>(FrameType::kSameSiteBatch), 44, payload);
-  raw.send_bytes(wire);
-  Frame response;
-  std::vector<std::uint8_t> storage;
-  ASSERT_TRUE(raw.recv_frame(response, storage));
-  EXPECT_EQ(response.payload[0], static_cast<std::uint8_t>(Status::kMalformed));
-}
-
-TEST(NetServerTest, IoUringIsStrictInTheLibraryWhenUnsupported) {
-  if (Server::io_uring_supported()) {
-    GTEST_SKIP() << "kernel supports io_uring; the strict-failure path is unreachable";
-  }
-  // An explicit backend request must fail loudly, never silently downgrade —
-  // graceful fallback is the daemon's policy (psld resolve_backend), not the
-  // library's.
-  serve::Engine engine(snap_of(list_a()), {.threads = 1});
-  ServerOptions options;
-  options.backend = Backend::kIoUring;
-  Server server(engine, options);
-  auto port = server.start();
-  ASSERT_FALSE(port.ok());
-  EXPECT_EQ(port.error().code, "net.backend");
-  EXPECT_FALSE(server.running());
 }
 
 TEST(NetServerTest, UdpFastPathRoundTrips) {

@@ -1,14 +1,14 @@
 // Differential suite over all four matcher paths: the reversed-label trie
 // (List::match), the per-depth hash-probing baseline (FlatMatcher), the
-// arena-compiled matcher (CompiledMatcher::match_view), and the batched
-// interleaved walk (CompiledMatcher::match_batch). All implement the
-// publicsuffix.org algorithm and must agree *exactly* — public suffix,
-// registrable domain, explicitness, section, rule-label count, and the
-// canonical prevailing-rule text — on every input: generated hosts,
-// checkPublicSuffix-style fixture cases, and hostile degenerate strings.
-// The batched walk shares MatchWalkState with the single walk, so these
-// checks guard the driver (interleaving, prefetch, chunking), not a second
-// algorithm.
+// arena-compiled matcher (CompiledMatcher::match_view), and its batch entry
+// point (CompiledMatcher::match_batch). All implement the publicsuffix.org
+// algorithm and must agree *exactly* — public suffix, registrable domain,
+// explicitness, section, rule-label count, and the canonical prevailing-rule
+// text — on every input: generated hosts, checkPublicSuffix-style fixture
+// cases, and hostile degenerate strings. All of them run the one walk in
+// psl/detail/match_walk.hpp, so this suite checks storage, not algorithm;
+// reference_matcher_test.cpp checks the walk itself against a brute-force
+// reference.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,8 +20,8 @@
 #include "psl/psl/flat_matcher.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/psl/match.hpp"
-#include "psl/util/namegen.hpp"
 #include "psl/util/rng.hpp"
+#include "random_lists.hpp"
 
 namespace psl {
 namespace {
@@ -59,7 +59,7 @@ void expect_all_agree(const List& list, const FlatMatcher& flat, const CompiledM
   ASSERT_EQ(v.registrable_domain, a.registrable_domain) << host;
   ASSERT_EQ(v.prevailing_rule(), a.prevailing_rule) << host;
 
-  // Fourth way: the batched driver, fed this one host, must reproduce the
+  // Fourth way: the batch entry point, fed this one host, must reproduce the
   // single walk's view bit for bit (a full-width batch is exercised by
   // BatchedMatchAgreesOnWholeCorpus).
   const std::string_view host_view = host;
@@ -73,43 +73,11 @@ void expect_all_agree(const List& list, const FlatMatcher& flat, const CompiledM
   ASSERT_EQ(batched.prevailing_rule(), v.prevailing_rule()) << host;
 }
 
-/// Random rule set drawn from a small shared label pool (mirrors
-/// matcher_property_test so hosts collide with rules often).
-List random_list(std::uint64_t seed, std::size_t rules) {
-  util::Rng rng(seed);
-  util::NameGen names{rng.fork(1)};
-  std::vector<std::string> pool;
-  for (int i = 0; i < 24; ++i) pool.push_back(names.fresh(1));
-
-  auto pick = [&] { return pool[rng.below(pool.size())]; };
-
-  std::vector<Rule> out;
-  while (out.size() < rules) {
-    std::string text;
-    const std::size_t labels = 1 + rng.below(3);
-    for (std::size_t i = 0; i < labels; ++i) {
-      if (!text.empty()) text.push_back('.');
-      text += pick();
-    }
-    const double roll = rng.uniform01();
-    if (roll < 0.12) {
-      text = "*." + text;
-    } else if (roll < 0.18 && labels >= 2) {
-      text = "!" + text;
-    }
-    auto rule = Rule::parse(text, rng.chance(0.3) ? Section::kPrivate : Section::kIcann);
-    if (rule.ok()) out.push_back(*std::move(rule));
-  }
-  return List::from_rules(std::move(out));
-}
-
-std::vector<std::string> shared_pool(std::uint64_t seed) {
-  util::Rng rng(seed);
-  util::NameGen names{rng.fork(1)};
-  std::vector<std::string> pool;
-  for (int i = 0; i < 24; ++i) pool.push_back(names.fresh(1));
-  return pool;
-}
+using testing::hostile_hosts;
+using testing::random_blob;
+using testing::random_host;
+using testing::random_list;
+using testing::shared_pool;
 
 class MatcherEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -122,12 +90,7 @@ TEST_P(MatcherEquivalenceTest, AllThreeMatchersAgreeOnGeneratedHosts) {
 
   util::Rng rng(seed ^ 0xC0FFEE);
   for (int i = 0; i < 3000; ++i) {
-    std::string host;
-    const std::size_t labels = 1 + rng.below(5);
-    for (std::size_t l = 0; l < labels; ++l) {
-      if (!host.empty()) host.push_back('.');
-      host += pool[rng.below(pool.size())];
-    }
+    std::string host = random_host(rng, pool);
     if (rng.chance(0.05)) host.push_back('.');  // trailing dot tolerance
     expect_all_agree(list, flat, compiled, host);
   }
@@ -220,32 +183,17 @@ TEST(MatcherEquivalenceTest, AgreeOnHostileAndDegenerateHosts) {
   const FlatMatcher flat(list);
   const CompiledMatcher compiled(list);
 
-  const std::vector<std::string> hostile = {
-      "",      ".",        "..",         "...",          "....",
-      "a.",    "a..",      ".a",         "..a",          "a..b",
-      "a...b", ".a.b.",    "*",          "*.ck",         "!www.ck",
-      "-",     "a-.b",     std::string(300, 'a'),        "a." + std::string(200, 'b'),
-      std::string(64, '.') + "com",      "x" + std::string(100, '.') + "y",
-  };
-  for (const std::string& host : hostile) expect_all_agree(list, flat, compiled, host);
+  for (const std::string& host : hostile_hosts()) expect_all_agree(list, flat, compiled, host);
 
-  // Random byte blobs, dots included with high probability.
   util::Rng rng(777);
-  const std::string alphabet = "ab.-.!*.c.";
-  for (int i = 0; i < 4000; ++i) {
-    std::string host;
-    const std::size_t len = rng.below(24);
-    for (std::size_t c = 0; c < len; ++c) host += alphabet[rng.below(alphabet.size())];
-    expect_all_agree(list, flat, compiled, host);
-  }
+  for (int i = 0; i < 4000; ++i) expect_all_agree(list, flat, compiled, random_blob(rng));
 }
 
 TEST(MatcherEquivalenceTest, BatchedMatchAgreesOnWholeCorpus) {
-  // One match_batch call over hundreds of hosts — many interleave chunks,
-  // with degenerate hosts salted throughout so every chunk mixes live walks
-  // with immediately-finished ones. Each out[i] must equal the sequential
-  // walk's view, and reg_domain_batch's packed keys must re-attach to the
-  // query strings exactly.
+  // One match_batch call over hundreds of hosts, with degenerate hosts
+  // salted throughout. Each out[i] must equal the sequential walk's view,
+  // and reg_domain_batch's packed keys must re-attach to the query strings
+  // exactly.
   const List list = random_list(9001, 140);
   const CompiledMatcher compiled(list);
   const auto pool = shared_pool(9001);
@@ -253,13 +201,7 @@ TEST(MatcherEquivalenceTest, BatchedMatchAgreesOnWholeCorpus) {
   std::vector<std::string> storage = {"", "a..", ".", "10.0.0.1", "a.b.c.d.e.f.g.h."};
   util::Rng rng(9001);
   for (int i = 0; i < 300; ++i) {
-    std::string host;
-    const std::size_t labels = 1 + rng.below(5);
-    for (std::size_t l = 0; l < labels; ++l) {
-      if (!host.empty()) host.push_back('.');
-      host += pool[rng.below(pool.size())];
-    }
-    storage.push_back(std::move(host));
+    storage.push_back(random_host(rng, pool));
     if (i % 17 == 0) storage.push_back("..");       // degenerate mid-batch
     if (i % 23 == 0) storage.push_back("b..tail");  // empty rightmost-adjacent label
   }
@@ -307,15 +249,7 @@ TEST(MatcherEquivalenceTest, AgreeUnderIncrementalMutation) {
 
     const FlatMatcher flat(list);
     const CompiledMatcher compiled(list);
-    for (int i = 0; i < 200; ++i) {
-      std::string host;
-      const std::size_t labels = 1 + rng.below(4);
-      for (std::size_t l = 0; l < labels; ++l) {
-        if (!host.empty()) host.push_back('.');
-        host += pool[rng.below(pool.size())];
-      }
-      expect_all_agree(list, flat, compiled, host);
-    }
+    for (int i = 0; i < 200; ++i) expect_all_agree(list, flat, compiled, random_host(rng, pool, 4));
   }
 }
 
@@ -328,15 +262,7 @@ TEST(MatcherEquivalenceTest, GenericSameSiteAgreesAcrossMatchers) {
   const auto pool = shared_pool(31337);
 
   util::Rng rng(31337);
-  auto make_host = [&] {
-    std::string h;
-    const std::size_t labels = 1 + rng.below(4);
-    for (std::size_t l = 0; l < labels; ++l) {
-      if (!h.empty()) h.push_back('.');
-      h += pool[rng.below(pool.size())];
-    }
-    return h;
-  };
+  auto make_host = [&] { return random_host(rng, pool, 4); };
   for (int i = 0; i < 2000; ++i) {
     const std::string a = make_host();
     const std::string b = rng.chance(0.3) ? a : make_host();

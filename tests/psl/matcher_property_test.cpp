@@ -10,61 +10,16 @@
 
 #include "psl/psl/flat_matcher.hpp"
 #include "psl/psl/list.hpp"
-#include "psl/util/namegen.hpp"
 #include "psl/util/rng.hpp"
 #include "psl/util/strings.hpp"
+#include "random_lists.hpp"
 
 namespace psl {
 namespace {
 
-/// Deterministically generate a random rule set of the given size.
-List random_list(std::uint64_t seed, std::size_t rules) {
-  util::Rng rng(seed);
-  util::NameGen names{rng.fork(1)};
-  // Build from a small shared label pool so hosts actually hit rules.
-  std::vector<std::string> pool;
-  for (int i = 0; i < 24; ++i) pool.push_back(names.fresh(1));
-
-  auto pick = [&] { return pool[rng.below(pool.size())]; };
-
-  std::vector<Rule> out;
-  while (out.size() < rules) {
-    std::string text;
-    const std::size_t labels = 1 + rng.below(3);
-    for (std::size_t i = 0; i < labels; ++i) {
-      if (!text.empty()) text.push_back('.');
-      text += pick();
-    }
-    const double roll = rng.uniform01();
-    if (roll < 0.12) {
-      text = "*." + text;
-    } else if (roll < 0.18 && labels >= 2) {
-      text = "!" + text;
-    }
-    auto rule = Rule::parse(text, rng.chance(0.3) ? Section::kPrivate : Section::kIcann);
-    if (rule.ok()) out.push_back(*std::move(rule));
-  }
-  return List::from_rules(std::move(out));
-}
-
-/// Random host from the same label pool (collides with rules often).
-std::string random_host(util::Rng& rng, const std::vector<std::string>& pool) {
-  std::string host;
-  const std::size_t labels = 1 + rng.below(5);
-  for (std::size_t i = 0; i < labels; ++i) {
-    if (!host.empty()) host.push_back('.');
-    host += pool[rng.below(pool.size())];
-  }
-  return host;
-}
-
-std::vector<std::string> shared_pool(std::uint64_t seed) {
-  util::Rng rng(seed);
-  util::NameGen names{rng.fork(1)};
-  std::vector<std::string> pool;
-  for (int i = 0; i < 24; ++i) pool.push_back(names.fresh(1));
-  return pool;
-}
+using testing::random_host;
+using testing::random_list;
+using testing::shared_pool;
 
 class MatcherAgreementTest : public ::testing::TestWithParam<std::uint64_t> {};
 
