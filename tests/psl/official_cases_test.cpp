@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 
 #include "psl/psl/list.hpp"
 
@@ -60,6 +61,13 @@ struct Case {
   const char* domain;
   const char* expected;  // nullptr = null
 };
+
+// Names each instance by its strings ("www.example.com -> example.com"), not
+// by gtest's default byte dump of the two pointers, which changes with every
+// relink and load address.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.domain << " -> " << (c.expected != nullptr ? c.expected : "null");
+}
 
 class OfficialCaseTest : public ::testing::TestWithParam<Case> {};
 
