@@ -86,7 +86,9 @@ const std::vector<std::string>& host_mix() {
         }
         host += "." + suffix;
       } else {
-        host += "." + names.fresh() + (rng.chance(0.5) ? ".com" : ".net");
+        host += '.';
+        host += names.fresh();
+        host += rng.chance(0.5) ? ".com" : ".net";
       }
       if (rng.chance(0.4)) host = "www." + host;
       out.push_back(std::move(host));

@@ -53,7 +53,10 @@ BENCHMARK(BM_SetCookie_SupercookieRejected);
 void BM_CookiesForRequest(benchmark::State& state) {
   psl::web::CookieJar jar(full_list());
   for (int i = 0; i < 64; ++i) {
-    jar.set_from_header(origin(), "c" + std::to_string(i) + "=v; Domain=example.com");
+    std::string header(1, 'c');
+    header += std::to_string(i);
+    header += "=v; Domain=example.com";
+    jar.set_from_header(origin(), header);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(jar.cookies_for(origin()));

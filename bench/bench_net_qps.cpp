@@ -22,13 +22,18 @@
 //                     1 forked server process vs N on one shared port,
 //                     asserting the N=2 fleet clears 1.5x the single-process
 //                     qps when the machine has >= 2 cores per shard (skips
-//                     loudly otherwise); writes BENCH_net_shards.json
+//                     loudly otherwise). The allowed CPUs are split in two
+//                     halves: each shard process is pinned to one core of
+//                     the first, the client threads to the second, so load
+//                     generation never competes with the shards it
+//                     measures. Writes BENCH_net_shards.json
 //   queries_per_cell  queries measured per (threads, batch) cell
 //                     (default 100000; 20000 in --smoke --shards)
 //   max_threads       highest engine worker count tried (default
 //                     hardware_concurrency)
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -83,7 +88,9 @@ std::vector<std::string> host_mix(const psl::List& list) {
       }
       host += "." + suffix;
     } else {
-      host += "." + names.fresh() + (rng.chance(0.5) ? ".com" : ".net");
+      host += '.';
+      host += names.fresh();
+      host += rng.chance(0.5) ? ".com" : ".net";
     }
     if (rng.chance(0.4)) host = "www." + host;
     out.push_back(std::move(host));
@@ -139,6 +146,29 @@ struct Cell {
   Percentiles latency;
 };
 
+/// The allowed CPUs, in order.
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    }
+  }
+  return cpus;
+}
+
+/// Pin the calling thread (and the threads it starts later) to `cpus`; a
+/// no-op for an empty list.
+void pin_current_thread(const std::vector<int>& cpus) {
+  if (cpus.empty()) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (const int c : cpus) CPU_SET(c, &set);
+  ::sched_setaffinity(0, sizeof(set), &set);
+}
+
 /// One blocking client on its own connection, sending `total` queries in
 /// batches of `batch`. Backpressure rejections are retried (the wire-level
 /// reject leaves the connection usable — that is the contract under test);
@@ -147,7 +177,8 @@ struct Cell {
 /// sample per batch.
 void client_worker(std::uint16_t port, const std::vector<std::string>& hosts,
                    std::size_t total, std::size_t batch, std::atomic<bool>& failed,
-                   std::vector<double>* latencies_ms = nullptr) {
+                   std::vector<double>* latencies_ms, const std::vector<int>& cpus) {
+  pin_current_thread(cpus);
   auto client = psl::net::Client::connect("127.0.0.1", port);
   if (!client.ok()) {
     std::cerr << "connect failed: " << client.error().message << "\n";
@@ -191,13 +222,12 @@ void client_worker(std::uint16_t port, const std::vector<std::string>& hosts,
   }
 }
 
-/// Boot engine + server, split `total` across `clients` connections, return
-/// wall ms for the whole run.
 /// Drive `total` queries split over `clients` connections against `port`;
 /// returns wall ms and (optionally) the merged round-trip percentiles.
+/// Client threads run on `cpus` (empty = wherever the scheduler likes).
 double drive_clients(std::uint16_t port, const std::vector<std::string>& hosts,
                      std::size_t clients, std::size_t total, std::size_t batch,
-                     Percentiles* latency_out) {
+                     Percentiles* latency_out, const std::vector<int>& cpus = {}) {
   std::atomic<bool> failed{false};
   const std::size_t per_client = (total + clients - 1) / clients;
   std::vector<std::vector<double>> latencies(clients);
@@ -208,7 +238,7 @@ double drive_clients(std::uint16_t port, const std::vector<std::string>& hosts,
     const std::size_t share = std::min(per_client, total - std::min(total, c * per_client));
     if (share == 0) break;
     pool.emplace_back(client_worker, port, std::cref(hosts), share, batch,
-                      std::ref(failed), latency_out ? &latencies[c] : nullptr);
+                      std::ref(failed), latency_out ? &latencies[c] : nullptr, std::cref(cpus));
   }
   for (std::thread& t : pool) t.join();
   const auto t1 = Clock::now();
@@ -303,11 +333,15 @@ int shard_child_main(const std::string& snap_bytes, std::uint16_t port, int read
 }
 
 /// Boot `shards` forked servers on one SO_REUSEPORT port, drive the client
-/// pool from this process, tear the fleet down. Exits the bench on any
+/// pool from this process, tear the fleet down. Shard s is pinned to
+/// server_cpus[s % size] (a shard's hot path is its one loop thread), the
+/// clients to client_cpus; empty lists pin nothing. Exits the bench on any
 /// failure (a half-ready fleet measures nothing).
 double run_sharded_cell(const std::string& snap_bytes, const std::vector<std::string>& hosts,
                         std::size_t shards, std::size_t clients, std::size_t total,
-                        std::size_t batch, Percentiles* latency_out) {
+                        std::size_t batch, Percentiles* latency_out,
+                        const std::vector<int>& server_cpus,
+                        const std::vector<int>& client_cpus) {
   std::uint16_t port = 0;
   const int placeholder = reserve_reuseport_port(port);
   if (placeholder < 0) {
@@ -328,6 +362,7 @@ double run_sharded_cell(const std::string& snap_bytes, const std::vector<std::st
       std::exit(2);
     }
     if (pid == 0) {
+      if (!server_cpus.empty()) pin_current_thread({server_cpus[s % server_cpus.size()]});
       ::close(placeholder);
       ::close(ready[0]);
       ::close(exitp[1]);
@@ -346,7 +381,8 @@ double run_sharded_cell(const std::string& snap_bytes, const std::vector<std::st
     exit_fds.push_back(exitp[1]);
   }
 
-  const double wall_ms = drive_clients(port, hosts, clients, total, batch, latency_out);
+  const double wall_ms =
+      drive_clients(port, hosts, clients, total, batch, latency_out, client_cpus);
 
   for (const int fd : exit_fds) ::close(fd);  // each shard's read() returns 0
   for (const pid_t pid : pids) {
@@ -376,18 +412,29 @@ int run_shard_scaling(std::size_t shards, bool smoke, std::size_t queries) {
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t clients = std::max<std::size_t>(8, 4 * shards);
   const std::size_t batch = 16;
+  // Shards on the first half of the allowed CPUs, clients on the rest (no
+  // split below 2 CPUs).
+  const std::vector<int> cpus = allowed_cpus();
+  std::vector<int> server_cpus, client_cpus;
+  if (cpus.size() >= 2) {
+    const auto half = static_cast<std::ptrdiff_t>(cpus.size() / 2);
+    server_cpus.assign(cpus.begin(), cpus.begin() + half);
+    client_cpus.assign(cpus.begin() + half, cpus.end());
+  }
 
   std::cout << "=== SO_REUSEPORT shard scaling: 1 process vs " << shards
             << " processes on one port ===\n";
   std::cout << "rules: " << list.rules().size() << ", queries: " << queries
             << ", client connections: " << clients << ", batch: " << batch
-            << ", hardware threads: " << hardware << "\n\n";
+            << ", hardware threads: " << hardware << "\n";
+  std::cout << "shard CPUs: " << server_cpus.size() << ", client CPUs: " << client_cpus.size()
+            << "\n\n";
 
   Percentiles base_lat, shard_lat;
-  const double base_ms =
-      run_sharded_cell(snap_bytes, hosts, 1, clients, queries, batch, &base_lat);
-  const double shard_ms =
-      run_sharded_cell(snap_bytes, hosts, shards, clients, queries, batch, &shard_lat);
+  const double base_ms = run_sharded_cell(snap_bytes, hosts, 1, clients, queries, batch,
+                                          &base_lat, server_cpus, client_cpus);
+  const double shard_ms = run_sharded_cell(snap_bytes, hosts, shards, clients, queries, batch,
+                                           &shard_lat, server_cpus, client_cpus);
   const double base_qps = static_cast<double>(queries) / (base_ms / 1000.0);
   const double shard_qps = static_cast<double>(queries) / (shard_ms / 1000.0);
   const double speedup = shard_qps / base_qps;
@@ -626,7 +673,7 @@ int main(int argc, char** argv) {
           std::min(per_client, queries_per_cell - std::min(queries_per_cell, c * per_client));
       if (share == 0) break;
       pool.emplace_back(client_worker, *port, std::cref(hosts), share, reload_batch,
-                        std::ref(failed), nullptr);
+                        std::ref(failed), nullptr, std::vector<int>{});
     }
     for (std::thread& t : pool) t.join();
     reload_wall_ms =

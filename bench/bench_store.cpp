@@ -60,7 +60,9 @@ std::vector<std::string> host_mix(const psl::List& newest) {
       }
       host += "." + suffix;
     } else {
-      host += "." + names.fresh() + (rng.chance(0.5) ? ".com" : ".net");
+      host += '.';
+      host += names.fresh();
+      host += rng.chance(0.5) ? ".com" : ".net";
     }
     out.push_back(std::move(host));
   }

@@ -3,21 +3,35 @@
 // One event-loop thread owns every socket: a non-blocking IPv4 listener plus
 // per-connection state machines (incremental FrameDecoder in, reusable write
 // buffer out), multiplexed through one level-triggered epoll fd (the project
-// is Linux-only). Query batches never run on the loop
-// thread: decoded same_site/match requests are handed to the engine's worker
-// pool via Engine::submit_job, workers build the complete response frame off
-// to the side, and a self-pipe wakes the loop to flush it — so a slow batch
-// never blocks accepting, reading, or other connections' responses.
+// is Linux-only). Work is split by cost:
+//
+//   * Hot frames run to completion on the loop thread. match_batch and
+//     same_site_batch are bounded (a frame is at most max_frame_bytes of
+//     hostnames) and cheap next to a thread hand-off, so the loop pins the
+//     engine State once per frame (Engine::run_inline) and encodes the
+//     answer straight into the connection's write buffer: no request copy,
+//     no queue, no wake-up. A TCP frame and a UDP datagram go through the
+//     same encoder.
+//   * Frames of unbounded cost — match_at and divergence (store time
+//     travel), ingest_batch and census_query (analytics) — are handed to the
+//     engine's worker pool via Engine::submit_job; the worker builds the
+//     complete response frame off to the side and a self-pipe wakes the loop
+//     to flush it, so a slow job never blocks accepting, reading, or other
+//     connections' responses. Responses carry the request id: a hot frame's
+//     answer can overtake a queued frame sent before it on the same
+//     connection.
 //
 // Contracts worth naming:
 //
-//   * Backpressure is a wire-level REJECT, never unbounded buffering. When
-//     the engine queue is full, the client gets an immediate
-//     Status::kBackpressure response for that request (counted in
+//   * Backpressure is never unbounded buffering. For queued frames it is a
+//     wire-level REJECT: when the engine queue is full, the client gets an
+//     immediate Status::kBackpressure response for that request (counted in
 //     net.reject.backpressure on top of the engine's serve.rejected) and the
-//     connection stays healthy. Per-connection write buffers are bounded
-//     too: a connection with more than max_frame_bytes of unflushed output
-//     stops being read until the peer drains it.
+//     connection stays healthy. Hot frames are never rejected; their bound
+//     is the connection's write buffer. While a connection holds more than
+//     max_frame_bytes of unflushed output the server answers none of its
+//     buffered frames and stops reading from it, until the peer drains
+//     responses — also when one read carried many pipelined frames.
 //   * Frame-level violations (bad magic/version/flags, oversized length)
 //     close the connection — the byte stream cannot be re-synchronized.
 //     Payload-level violations answer Status::kMalformed and keep it open.
@@ -35,14 +49,14 @@
 //     closed by the write-stall timeout instead of buffered unboundedly.
 //     Rapid consecutive reloads may coalesce into a single push carrying the
 //     newest generation.
-//   * Graceful drain: shutdown() stops accepting, lets in-flight engine
-//     batches finish and their responses flush (bounded by
+//   * Graceful drain: shutdown() stops accepting, lets in-flight queued
+//     jobs finish and their responses flush (bounded by
 //     drain_timeout_ms), then closes everything and joins the loop thread.
 //     The destructor calls shutdown() if the caller did not.
 //   * The steady-state decode/encode hot path performs no heap allocation:
-//     decoder buffers, write buffers, scratch parse vectors, and response
-//     buffers (a recycling pool shared with the workers) all grow to a
-//     high-water mark once and are reused.
+//     decoder buffers, write buffers, scratch parse and match vectors, and
+//     the queued frames' request/response buffers (a recycling pool shared
+//     with the workers) all grow to a high-water mark once and are reused.
 //
 // obs instrumentation (when given a registry): gauge net.connections;
 // counters net.accepted, net.frames_in, net.frames_out, net.bytes_in,
@@ -99,7 +113,7 @@ struct ServerOptions {
   /// the psld --shards fan-out. Every process on the port must set it.
   bool reuse_port = false;
   /// Serve the UDP fast path on the same port: one request frame per
-  /// datagram, answered inline on the loop thread (no worker hop) — for
+  /// datagram, answered on the loop thread like a TCP hot frame — for
   /// clients that cannot amortize a TCP batch. Supported request types:
   /// ping, same_site_batch, match_batch, stats; everything else answers
   /// kUnsupported with detail "udp.unsupported". See kUdpMaxDatagramBytes.
@@ -138,8 +152,14 @@ class Server {
   void handle_udp();
   void dispatch_udp_frame(const FrameHeader& header, std::span<const std::uint8_t> payload);
   bool handle_readable(Connection& conn);
+  // Answer the decoder's whole frames while the write buffer is under its
+  // bound, and flush; false = close the connection.
+  bool serve_buffered(Connection& conn);
   bool flush_writes(Connection& conn);
   void dispatch_frame(Connection& conn, const Frame& frame);
+  // The hot frames' one encoder (TCP and UDP): answers the request already
+  // parsed into host_scratch_ (match) or pair_scratch_ (same_site).
+  void append_hot_response(std::vector<std::uint8_t>& out, FrameType type, std::uint32_t id);
   void respond_status(Connection& conn, FrameType type, std::uint32_t id, Status status,
                       std::string_view detail);
   void append_stats_response(std::vector<std::uint8_t>& out, std::uint32_t id);
@@ -154,8 +174,8 @@ class Server {
                        std::chrono::steady_clock::time_point t0);
   void update_read_interest(Connection& conn);
 
-  // Recycled response buffers handed to engine workers so steady-state
-  // response encoding allocates nothing once buffers reach high-water size.
+  // Recycled request/response buffers of queued frames, so steady-state
+  // encoding allocates nothing once buffers reach high-water size.
   std::vector<std::uint8_t> acquire_buffer();
   void release_buffer(std::vector<std::uint8_t> buffer);
 
@@ -217,6 +237,7 @@ class Server {
   std::vector<std::uint8_t> read_scratch_;
   std::vector<std::pair<std::string_view, std::string_view>> pair_scratch_;
   std::vector<std::string_view> host_scratch_;
+  std::vector<MatchView> view_scratch_;
   std::vector<WireIngestRecord> ingest_scratch_;
   // UDP scratch (loop thread): the request datagram and the response under
   // construction. Both reach high-water size once and are reused.

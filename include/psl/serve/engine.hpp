@@ -20,27 +20,35 @@
 //     flags as a race against the next store; the mutex is the verifiable
 //     choice and costs a few ns per *batch*, not per query.)
 //   * Swap visibility is batch-granular: a batched job resolves the State
-//     exactly once, when a worker picks it up, so every answer inside one
-//     batch comes from the same list version. Single inline queries resolve
-//     per call.
+//     exactly once, when a worker picks it up (submit_job) or when
+//     run_inline is called, so every answer inside one batch comes from the
+//     same list version. The single-query convenience calls resolve per
+//     call.
 //   * Keep-last-good reloads. reload_snapshot()/reload_file() validate the
 //     candidate bytes first (psl::snapshot's loader) and only swap on
 //     success; any failure leaves the serving state untouched and returns
 //     the loader's error.
-//   * Bounded queue with explicit backpressure. Batches run on a fixed
-//     worker pool behind a queue capped at max_queue_depth; a submit
-//     against a full queue is REJECTED immediately ("serve.backpressure")
-//     rather than queued unboundedly — the caller decides whether to retry,
-//     shed, or block. Submits after shutdown return "serve.stopped".
-//   * Per-worker registrable-domain caches. Each State carries one
-//     RegDomainCache per worker (strictly single-writer: worker i touches
-//     only caches[i], so the caches need no locks even though the State is
-//     shared). Because the caches live INSIDE the immutable State, RCU
+//   * Two ways to run a batch, one pinned view. run_inline() runs a job on
+//     the calling thread, right now: the path for bounded work that must not
+//     pay a thread hand-off (psl::net::Server answers match and same_site
+//     frames this way on its event-loop thread). submit_job() queues a job
+//     for a fixed worker pool behind a queue capped at max_queue_depth: the
+//     path for work of unbounded cost (store time travel, census ingest and
+//     queries). A submit against a full queue is REJECTED immediately
+//     ("serve.backpressure") rather than queued unboundedly — the caller
+//     decides whether to retry, shed, or block. Submits after shutdown
+//     return "serve.stopped".
+//   * Registrable-domain caches, one per user thread. Each State carries one
+//     RegDomainCache per worker plus one for run_inline (strictly
+//     single-writer: worker i touches only caches[i], the run_inline caller
+//     only the last one, so the caches need no locks even though the State
+//     is shared). Because the caches live INSIDE the immutable State, RCU
 //     hot-swap invalidates them for free: a new generation publishes new
 //     cold caches, old readers drain on the old ones, and a stale boundary
-//     can never be served across a reload. Batched jobs reach the cached
-//     path through Pinned's helpers; cache hits skip the trie entirely,
-//     misses fall through to CompiledMatcher::match_batch.
+//     can never be served across a reload. A cache nobody uses costs no
+//     resident memory (see regdomain_cache.hpp). Jobs reach the cached path
+//     through Pinned's helpers; cache hits skip the trie entirely, misses
+//     fall through to CompiledMatcher::match_batch.
 //   * Instrumentation (when given a MetricsRegistry): counters
 //     serve.queries / serve.batches / serve.rejected /
 //     serve.reload.success / serve.reload.failure / serve.cache.hit /
@@ -69,6 +77,7 @@
 #include <vector>
 
 #include "psl/obs/metrics.hpp"
+#include "psl/obs/span.hpp"
 #include "psl/psl/compiled_matcher.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/serve/regdomain_cache.hpp"
@@ -87,10 +96,10 @@ struct DivergenceRange;
 namespace psl::serve {
 
 struct EngineOptions {
-  std::size_t threads = 2;           ///< worker threads (clamped to >= 1)
+  std::size_t threads = 2;           ///< submit_job worker threads (clamped to >= 1)
   std::size_t max_queue_depth = 64;  ///< pending batches before rejection
-  /// Per-worker registrable-domain cache slots (rounded up to a power of
-  /// two; 0 disables caching — every query walks the trie).
+  /// Registrable-domain cache slots per worker and for run_inline (rounded
+  /// up to a power of two; 0 disables caching — every query walks the trie).
   std::size_t cache_slots = 16384;
   obs::MetricsRegistry* metrics = nullptr;  ///< optional; null = uninstrumented
   /// Generation the initial state is installed as (0 = the default, 1).
@@ -120,31 +129,35 @@ class Engine {
   enum class Enqueue { kOk, kBackpressure, kStopped };
 
   /// The serving state pinned for one batch: references stay valid for the
-  /// duration of the job callback (the worker holds the State shared_ptr).
+  /// duration of the job callback (the caller holds the State shared_ptr).
   ///
   /// Pinned's helpers are the CANONICAL batch-lookup entrypoint — the one
-  /// implementation of the cached batch fast path. They consult this
-  /// worker's registrable-domain cache first and fall through to the pinned
+  /// implementation of the cached batch fast path. They consult the running
+  /// thread's registrable-domain cache first and fall through to the pinned
   /// matcher's match_batch, so every front-end (psl::net::Server, the typed
   /// submit_* wrappers below, the C API engine mirror) gets cache hits,
   /// batched miss handling, and instrumentation from one place. New callers
-  /// should run through submit_job + these helpers; the submit_* methods
-  /// exist as owning-type conveniences and delegate here, never the other
-  /// way around (docs/API.md, "Batch lookups: which entrypoint").
+  /// run through run_inline or submit_job + these helpers; the submit_*
+  /// methods exist as owning-type conveniences and delegate here, never the
+  /// other way around (docs/API.md, "Batch lookups: which entrypoint").
   struct Pinned {
     const CompiledMatcher& matcher;
     const snapshot::Metadata& meta;
     std::uint64_t generation;
-    /// This worker's cache inside the pinned State; null when caching is
-    /// disabled. Single-writer: only this worker, only during this batch.
+    /// The running thread's cache inside the pinned State; null when
+    /// caching is disabled. Single-writer: only this thread, only during
+    /// this batch.
     RegDomainCache* cache = nullptr;
     const Engine* engine = nullptr;  ///< for cache/batch instrumentation
-    /// This generation's analytics census (null when analytics is off).
-    /// Ingest through it with `worker` as the shard index: the census
-    /// belongs to the pinned State, so a batch can never write across a
-    /// generation boundary.
+    /// This generation's analytics census (null when analytics is off, and
+    /// always null under run_inline: census shards are per worker). Ingest
+    /// through it with `worker` as the shard index: the census belongs to
+    /// the pinned State, so a batch can never write across a generation
+    /// boundary.
     analytics::Census* census = nullptr;
-    std::size_t worker = 0;  ///< index of the worker running this batch
+    /// Index of the worker running this batch; under run_inline, the inline
+    /// cache slot (== worker_count()), which indexes no census shard.
+    std::size_t worker = 0;
 
     /// Cached single lookup: the registrable domain of `host` as a view
     /// into `host`'s own buffer ("" when it has none). Hits skip the trie.
@@ -169,7 +182,22 @@ class Engine {
   /// external front-ends (psl::net::Server) feed decoded batches through.
   Enqueue submit_job(std::function<void(const Pinned&)> job);
 
-  /// Add `n` to serve.queries on behalf of a submit_job batch.
+  /// Run `job` NOW, on the calling thread, against exactly one pinned State
+  /// — no queue, no worker, no backpressure. For bounded work only: the job
+  /// holds up the caller for its whole duration. Counts serve.batches and
+  /// serve.batch_ms like submit_job. Pinned::cache is the inline cache slot,
+  /// which is single-writer: run_inline must not be called from two threads
+  /// at once (psl::net::Server calls it only from its event-loop thread).
+  /// Pinned::census is null, because census ingest belongs on the workers.
+  template <typename Job>
+  void run_inline(Job&& job) {
+    const std::shared_ptr<const State> state = current();
+    const obs::Timer timer(batch_ms_);
+    if (batches_) batches_->add();
+    std::forward<Job>(job)(inline_pin(*state));
+  }
+
+  /// Add `n` to serve.queries on behalf of a submit_job/run_inline batch.
   void count_queries(std::size_t n) const noexcept;
 
   // --- single queries (inline, no queue; resolve the State per call) -----
@@ -282,11 +310,12 @@ class Engine {
     CompiledMatcher matcher;
     snapshot::Metadata meta;
     std::uint64_t generation = 0;
-    /// Per-worker registrable-domain caches (caches[i] is touched only by
-    /// worker i — single-writer, no locks). `mutable` because cache fills
-    /// are not observable state changes: the State's answers are immutable,
-    /// the caches only memoize them. New State ⇒ new cold caches, which is
-    /// the whole hot-swap invalidation story.
+    /// Registrable-domain caches: caches[i] is touched only by worker i,
+    /// caches.back() only by the run_inline caller — single-writer, no
+    /// locks. `mutable` because cache fills are not observable state
+    /// changes: the State's answers are immutable, the caches only memoize
+    /// them. New State ⇒ new cold caches, which is the whole hot-swap
+    /// invalidation story.
     mutable std::vector<RegDomainCache> caches;
     /// This generation's analytics census (null when analytics is off).
     /// Same doctrine as the caches: a new State gets a FRESH census, old
@@ -301,6 +330,7 @@ class Engine {
     return state_;
   }
   std::uint64_t install(snapshot::Snapshot next, std::uint64_t target_generation = 0);
+  Pinned inline_pin(const State& state) const noexcept;
   Enqueue enqueue(std::function<void(std::size_t)> job);
   void worker_loop(std::size_t worker_index);
 

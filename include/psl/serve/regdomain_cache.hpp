@@ -1,4 +1,5 @@
-// Fixed-size registrable-domain boundary cache (one per Engine worker).
+// Fixed-size registrable-domain boundary cache (one per Engine worker, plus
+// the inline one).
 //
 // The serving workload is heavily Zipf-skewed — the paper's 498M-request
 // HTTP Archive corpus concentrates most lookups on a small set of hot
@@ -22,20 +23,30 @@
 //     Two distinct hot hostnames colliding in 64 bits is a ~n²/2⁶⁴ event
 //     (≈ 10⁻¹² at a million distinct hosts), accepted by design — the same
 //     trade browsers make in their eTLD+1 caches.
-//   * No synchronization. Each Engine worker owns one cache instance
-//     (caches live in the immutable State, indexed by worker id), so every
+//   * No synchronization. Each cache instance has exactly one user thread
+//     (an Engine worker, or the thread that calls Engine::run_inline); the
+//     caches live in the immutable State, indexed by slot, so every
 //     instance is strictly single-writer single-reader from the same
 //     thread. Hot-swap invalidation is structural: a new State carries new,
 //     cold caches, and old readers drain on the old ones.
+//   * An unused cache costs no resident memory. The slot array is a private
+//     anonymous mapping that nothing writes at construction, so its pages
+//     are the kernel's zero page until the first insert lands on them. A
+//     State carries one cache per worker plus the inline one, and a cache
+//     that never serves a query (psld's workers, now that match and
+//     same_site run inline) is never faulted in.
 //
 // slots == 0 constructs a disabled cache (lookup always misses, insert is a
 // no-op) — the engine's "uncached" mode for benchmarks.
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 namespace psl::serve {
 
@@ -53,9 +64,24 @@ class RegDomainCache {
     if (slots == 0) return;  // disabled
     std::size_t cap = 64;
     while (cap < slots) cap <<= 1;
-    slots_.resize(cap);
+    // Zero-filled on demand, page by page: an empty slot is all zero bytes.
+    void* mem = ::mmap(nullptr, cap * sizeof(Slot), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED) throw std::bad_alloc();
+    slots_ = static_cast<Slot*>(mem);
+    capacity_ = cap;
     mask_ = cap - 1;
   }
+  ~RegDomainCache() {
+    if (slots_) ::munmap(slots_, capacity_ * sizeof(Slot));
+  }
+  RegDomainCache(RegDomainCache&& other) noexcept
+      : slots_(std::exchange(other.slots_, nullptr)),
+        capacity_(std::exchange(other.capacity_, 0)),
+        mask_(std::exchange(other.mask_, 0)),
+        size_(std::exchange(other.size_, 0)) {}
+  RegDomainCache(const RegDomainCache&) = delete;
+  RegDomainCache& operator=(const RegDomainCache&) = delete;
 
   /// FNV-1a 64-bit over the (already dot-stripped) hostname bytes.
   static std::uint64_t hash_host(std::string_view host) noexcept {
@@ -70,7 +96,7 @@ class RegDomainCache {
 
   /// True on hit; `rd_len` receives the cached boundary (or kNoDomain).
   bool lookup(std::uint64_t hash, std::uint32_t& rd_len) const noexcept {
-    if (slots_.empty()) return false;
+    if (!slots_) return false;
     std::size_t idx = hash & mask_;
     for (std::size_t dist = 0; dist < kMaxProbe; ++dist) {
       const Slot& s = slots_[idx];
@@ -89,7 +115,7 @@ class RegDomainCache {
   /// Insert (or overwrite) the boundary for `hash`. Returns true when a
   /// resident entry was dropped to make room (probe bound exceeded).
   bool insert(std::uint64_t hash, std::uint32_t rd_len) noexcept {
-    if (slots_.empty()) return false;
+    if (!slots_) return false;
     Slot incoming{hash, rd_len};
     std::size_t idx = incoming.hash & mask_;
     std::size_t dist = 0;
@@ -116,9 +142,9 @@ class RegDomainCache {
     }
   }
 
-  std::size_t capacity() const noexcept { return slots_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return size_; }
-  bool enabled() const noexcept { return !slots_.empty(); }
+  bool enabled() const noexcept { return slots_ != nullptr; }
 
  private:
   struct Slot {
@@ -130,7 +156,8 @@ class RegDomainCache {
     return (idx - (hash & mask_)) & mask_;
   }
 
-  std::vector<Slot> slots_;
+  Slot* slots_ = nullptr;  ///< capacity_ slots, anonymous mapping (null = disabled)
+  std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };

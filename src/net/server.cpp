@@ -47,6 +47,17 @@ void watch(int epoll_fd, int op, int fd, bool want_read, bool want_write) {
 
 void unwatch(int epoll_fd, int fd) { ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr); }
 
+/// count × match_batch-shaped entry (the match_batch and match_at bodies).
+void put_match_entries(std::vector<std::uint8_t>& out, std::span<const MatchView> views) {
+  for (const MatchView& view : views) {
+    put_str16(out, view.public_suffix);
+    put_str16(out, view.registrable_domain);
+    const std::uint8_t flags = (view.matched_explicit_rule ? 1u : 0u) |
+                               (view.section == Section::kPrivate ? 2u : 0u);
+    put_u8(out, flags);
+  }
+}
+
 }  // namespace
 
 // --- connection + completion state ------------------------------------------
@@ -441,7 +452,7 @@ void Server::loop() {
       if (alive && (mask & (EPOLLIN | EPOLLHUP)) != 0 && conn.want_read) {
         alive = handle_readable(conn);
       }
-      if (alive && (mask & EPOLLOUT) != 0) alive = flush_writes(conn);
+      if (alive && (mask & EPOLLOUT) != 0) alive = serve_buffered(conn);
       if (!alive) close_connection(conn_id);
     }
     if (accept_ready && !draining) handle_accept();
@@ -537,50 +548,71 @@ void Server::close_connection(std::uint64_t conn_id) {
 }
 
 bool Server::handle_readable(Connection& conn) {
+  // One read per readiness. serve_buffered() leaves at most a partial frame
+  // in the decoder whenever reading is allowed, so the decoder holds no more
+  // than one read plus one frame; further input waits in the socket (the
+  // epoll fd is level-triggered and reports it again).
   for (;;) {
     const ssize_t n = ::read(conn.fd, read_scratch_.data(), read_scratch_.size());
     if (n > 0) {
       if (bytes_in_) bytes_in_->add(n);
       conn.last_activity = std::chrono::steady_clock::now();
       conn.decoder.feed({read_scratch_.data(), static_cast<std::size_t>(n)});
-      if (static_cast<std::size_t>(n) < read_scratch_.size()) break;
-      continue;
+      break;
     }
     if (n == 0) return false;  // peer closed
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     return false;
   }
+  return serve_buffered(conn);
+}
 
+bool Server::serve_buffered(Connection& conn) {
   Frame frame;
+  bool held_back = false;
+  bool answered = false;
   for (;;) {
-    const FrameDecoder::Next got = conn.decoder.next(frame);
-    if (got == FrameDecoder::Next::kFrame) {
+    // The write-buffer bound: answer whole frames only while this
+    // connection's unflushed output is at most max_frame_bytes. Frames past
+    // the bound wait in the decoder until flushing brings the output back
+    // under it (every flush path runs this function).
+    held_back = false;
+    for (;;) {
+      if (conn.pending_out() > options_.max_frame_bytes) {
+        held_back = true;
+        break;
+      }
+      const FrameDecoder::Next got = conn.decoder.next(frame);
+      if (got == FrameDecoder::Next::kNeedMore) break;
+      if (got == FrameDecoder::Next::kError) {
+        // The stream cannot be resynchronized past a bad header; drop it.
+        if (frame_errors_) frame_errors_->add();
+        return false;
+      }
       if (frames_in_) frames_in_->add();
       dispatch_frame(conn, frame);
-      continue;
+      answered = true;
     }
-    if (got == FrameDecoder::Next::kError) {
-      // The stream cannot be resynchronized past a bad header; drop it.
-      if (frame_errors_) frame_errors_->add();
-      return false;
-    }
-    break;  // kNeedMore
+    if (!flush_writes(conn)) return false;
+    if (!held_back || conn.pending_out() > options_.max_frame_bytes) break;
   }
 
-  // Read-timeout bookkeeping: a partial frame sitting in the decoder is a
-  // started frame that must complete within read_timeout_ms.
-  if (conn.decoder.buffered() > 0) {
-    if (!conn.mid_frame) {
+  // Read-timeout bookkeeping: a partial frame left in the decoder once
+  // every whole frame is answered is a started frame that must complete
+  // within read_timeout_ms. It started now unless it is the same partial
+  // frame as before (nothing was answered), so a peer streaming pipelined
+  // frames whose reads keep ending mid-frame is never timed out. Frames
+  // held back by the write bound are the write-stall timeout's business,
+  // not the peer's slow sending.
+  if (!held_back && conn.decoder.buffered() > 0) {
+    if (!conn.mid_frame || answered) {
       conn.mid_frame = true;
       conn.frame_start = std::chrono::steady_clock::now();
     }
   } else {
     conn.mid_frame = false;
   }
-
-  if (!flush_writes(conn)) return false;
-  update_read_interest(conn);
   return true;
 }
 
@@ -655,6 +687,31 @@ void Server::append_stats_response(std::vector<std::uint8_t>& out, std::uint32_t
   put_u64(out, census_queries_total_.load(std::memory_order_relaxed));
   put_u64(out, census ? census->state_bytes() : 0);
   end_frame(out, frame_begin);
+}
+
+// --- the hot frames: match_batch and same_site_batch ------------------------
+
+void Server::append_hot_response(std::vector<std::uint8_t>& out, FrameType type,
+                                 std::uint32_t id) {
+  // One pinned State for the whole frame (batch-granular swap visibility),
+  // answered through the inline cache slot. Every view the encoder reads
+  // points into the request bytes or the pinned matcher's arena.
+  engine_.run_inline([&](const serve::Engine::Pinned& pinned) {
+    const std::size_t frame_begin = begin_response_frame(out, type, id);
+    put_u8(out, static_cast<std::uint8_t>(Status::kOk));
+    if (type == FrameType::kMatchBatch) {
+      view_scratch_.resize(host_scratch_.size());
+      pinned.match_batch(host_scratch_, view_scratch_);
+      put_u32(out, static_cast<std::uint32_t>(host_scratch_.size()));
+      put_match_entries(out, view_scratch_);
+      engine_.count_queries(host_scratch_.size());
+    } else {
+      put_u32(out, static_cast<std::uint32_t>(pair_scratch_.size()));
+      for (const auto& [a, b] : pair_scratch_) put_u8(out, pinned.same_site(a, b) ? 1 : 0);
+      engine_.count_queries(pair_scratch_.size());
+    }
+    end_frame(out, frame_begin);
+  });
 }
 
 // --- the UDP fast path ------------------------------------------------------
@@ -758,44 +815,23 @@ void Server::dispatch_udp_frame(const FrameHeader& header, std::span<const std::
       append_stats_response(udp_out_, id);
       break;
 
-    case FrameType::kMatchBatch: {
+    case FrameType::kMatchBatch:
       if (!parse_match_request(payload, host_scratch_)) {
         if (reject_malformed_) reject_malformed_->add();
         respond_error(Status::kMalformed, "bad match_batch payload");
         break;
       }
-      const std::size_t frame_begin = begin_response_frame(udp_out_, type, id);
-      put_u8(udp_out_, static_cast<std::uint8_t>(Status::kOk));
-      put_u32(udp_out_, static_cast<std::uint32_t>(host_scratch_.size()));
-      for (const std::string_view host : host_scratch_) {
-        const Match match = engine_.match(host);
-        put_str16(udp_out_, match.public_suffix);
-        put_str16(udp_out_, match.registrable_domain);
-        const std::uint8_t flags = (match.matched_explicit_rule ? 1u : 0u) |
-                                   (match.section == Section::kPrivate ? 2u : 0u);
-        put_u8(udp_out_, flags);
-      }
-      end_frame(udp_out_, frame_begin);
-      engine_.count_queries(host_scratch_.size());
+      append_hot_response(udp_out_, type, id);
       break;
-    }
 
-    case FrameType::kSameSiteBatch: {
+    case FrameType::kSameSiteBatch:
       if (!parse_same_site_request(payload, pair_scratch_)) {
         if (reject_malformed_) reject_malformed_->add();
         respond_error(Status::kMalformed, "bad same_site_batch payload");
         break;
       }
-      const std::size_t frame_begin = begin_response_frame(udp_out_, type, id);
-      put_u8(udp_out_, static_cast<std::uint8_t>(Status::kOk));
-      put_u32(udp_out_, static_cast<std::uint32_t>(pair_scratch_.size()));
-      for (const auto& [a, b] : pair_scratch_) {
-        put_u8(udp_out_, engine_.same_site(a, b) ? 1 : 0);
-      }
-      end_frame(udp_out_, frame_begin);
-      engine_.count_queries(pair_scratch_.size());
+      append_hot_response(udp_out_, type, id);
       break;
-    }
 
     // Stateful (subscribe), mutating (reload, ingest), or unboundedly large
     // (census, divergence, match_at) request types stay TCP-only: they need
@@ -896,104 +932,39 @@ void Server::dispatch_frame(Connection& conn, const Frame& frame) {
       return;
     }
 
-    // Both batch types follow the same zero-copy shape: validate the payload
-    // on the loop thread (malformed requests answer immediately, and the
-    // worker-side re-parse below can then never fail), memcpy the payload
-    // ONCE into a pooled buffer, and hand that to the job. The worker
-    // re-parses into thread_local view scratch — every hostname the matcher
-    // sees is a view into the job-owned request copy, every response field
-    // is encoded straight from arena-backed MatchView spans into the pooled
-    // response frame. No per-host std::string, no per-pair std::pair<string,
-    // string>, anywhere on the path.
-    case FrameType::kSameSiteBatch: {
-      if (!parse_same_site_request(frame.payload, pair_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad same_site_batch payload");
-        return;
-      }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* engine = &engine_;
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        // Reserve before submit: the job may run (and report back) before
-        // submit_job even returns.
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, engine, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned& pinned) mutable {
-            thread_local std::vector<std::pair<std::string_view, std::string_view>> pairs;
-            parse_same_site_request(request, pairs);  // validated on the loop thread
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const std::size_t frame_begin = begin_response_frame(buf, type, id);
-            put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-            put_u32(buf, static_cast<std::uint32_t>(pairs.size()));
-            for (const auto& [a, b] : pairs) {
-              put_u8(buf, pinned.same_site(a, b) ? 1 : 0);  // cached path
-            }
-            end_frame(buf, frame_begin);
-            engine->count_queries(pairs.size());
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
-      return;
-    }
-
+    // The hot frames run to completion here, on the loop thread: one pinned
+    // State per frame, answers encoded from the parse views (which point
+    // into the decoder buffer) straight into conn.out. No request copy, no
+    // queue, no worker, no wake-up. Their backpressure is the bounded write
+    // buffer: serve_buffered() stops answering, and the loop stops reading,
+    // while this connection's unflushed output is above max_frame_bytes.
+    case FrameType::kSameSiteBatch:
     case FrameType::kMatchBatch: {
-      if (!parse_match_request(frame.payload, host_scratch_)) {
+      const bool parsed = type == FrameType::kMatchBatch
+                              ? parse_match_request(frame.payload, host_scratch_)
+                              : parse_same_site_request(frame.payload, pair_scratch_);
+      if (!parsed) {
         if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad match_batch payload");
+        respond_status(conn, type, id, Status::kMalformed,
+                       type == FrameType::kMatchBatch ? "bad match_batch payload"
+                                                      : "bad same_site_batch payload");
         return;
       }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* engine = &engine_;
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, engine, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned& pinned) mutable {
-            thread_local std::vector<std::string_view> hosts;
-            thread_local std::vector<MatchView> views;
-            parse_match_request(request, hosts);  // validated on the loop thread
-            views.resize(hosts.size());
-            pinned.match_batch(hosts, views);
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const std::size_t frame_begin = begin_response_frame(buf, type, id);
-            put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-            put_u32(buf, static_cast<std::uint32_t>(hosts.size()));
-            for (const MatchView& view : views) {
-              put_str16(buf, view.public_suffix);
-              put_str16(buf, view.registrable_domain);
-              const std::uint8_t flags =
-                  (view.matched_explicit_rule ? 1u : 0u) |
-                  (view.section == Section::kPrivate ? 2u : 0u);
-              put_u8(buf, flags);
-            }
-            end_frame(buf, frame_begin);
-            engine->count_queries(hosts.size());
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
+      append_hot_response(conn.out, type, id);
+      if (frames_out_) frames_out_->add();
+      observe_latency(type, t0);
       return;
     }
 
-    // The time-travel requests (psl::store). Same pooled-buffer shape as the
-    // batches; the difference is that version resolution and materialization
-    // run ON THE WORKER (a cold version may decode delta chains — never on
-    // the loop thread), so store-level errors are encoded inside the job and
-    // travel back through complete() like any other response.
+    // The queued frames: work of unbounded cost (store time travel, census
+    // ingest and queries) runs on the engine's workers. Each validates its
+    // payload here (malformed requests answer immediately, so the worker-side
+    // re-parse can never fail), memcpys it ONCE into a pooled buffer, and
+    // hands that to the job; the worker encodes the complete response frame
+    // into another pooled buffer and returns it through complete(). Version
+    // resolution and materialization run ON THE WORKER (a cold version may
+    // decode delta chains — never on the loop thread), so store-level errors
+    // are encoded inside the job like any other response.
     case FrameType::kMatchAt: {
       std::int64_t date_days = 0;
       if (!parse_match_at_request(frame.payload, date_days, host_scratch_)) {
@@ -1041,14 +1012,7 @@ void Server::dispatch_frame(Connection& conn, const Frame& frame) {
                                  snap->meta.source_date.days_since_epoch())));
                 put_u64(buf, snap->meta.rule_count);
                 put_u32(buf, static_cast<std::uint32_t>(hosts.size()));
-                for (const MatchView& view : views) {
-                  put_str16(buf, view.public_suffix);
-                  put_str16(buf, view.registrable_domain);
-                  const std::uint8_t flags =
-                      (view.matched_explicit_rule ? 1u : 0u) |
-                      (view.section == Section::kPrivate ? 2u : 0u);
-                  put_u8(buf, flags);
-                }
+                put_match_entries(buf, views);
                 end_frame(buf, frame_begin);
                 engine->count_queries(hosts.size());
               }
@@ -1297,7 +1261,7 @@ void Server::broadcast_generation() {
     conn->pushed_rule_count = push.rule_count;
     if (frames_out_) frames_out_->add();
     if (push_sent_) push_sent_->add();
-    if (!flush_writes(*conn)) dead.push_back(id);
+    if (!serve_buffered(*conn)) dead.push_back(id);
   }
   for (const std::uint64_t id : dead) close_connection(id);
 }
@@ -1316,7 +1280,7 @@ void Server::drain_completions() {
       conn.out.insert(conn.out.end(), completion.frame.begin(), completion.frame.end());
       conn.last_activity = std::chrono::steady_clock::now();
       observe_latency(completion.request_type, completion.t0);
-      if (!flush_writes(conn)) close_connection(completion.conn_id);
+      if (!serve_buffered(conn)) close_connection(completion.conn_id);
     }
     release_buffer(std::move(completion.frame));
   }

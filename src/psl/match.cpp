@@ -4,15 +4,16 @@ namespace psl {
 
 std::string MatchView::prevailing_rule() const {
   if (!matched_explicit_rule) return {};
+  std::string_view marker;
   switch (rule_kind) {
-    case RuleKind::kException:
-      return "!" + std::string(rule_span);
-    case RuleKind::kWildcard:
-      return "*." + std::string(rule_span);
-    case RuleKind::kNormal:
-      break;
+    case RuleKind::kException: marker = "!"; break;
+    case RuleKind::kWildcard: marker = "*."; break;
+    case RuleKind::kNormal: break;
   }
-  return std::string(rule_span);
+  std::string out;
+  out.reserve(marker.size() + rule_span.size());
+  out.append(marker).append(rule_span);
+  return out;
 }
 
 Match MatchView::to_match() const {

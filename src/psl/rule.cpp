@@ -55,8 +55,8 @@ util::Result<Rule> Rule::parse(std::string_view text, Section section) {
 std::string Rule::to_string() const {
   std::string out;
   switch (kind_) {
-    case RuleKind::kException: out = "!"; break;
-    case RuleKind::kWildcard: out = "*."; break;
+    case RuleKind::kException: out.push_back('!'); break;
+    case RuleKind::kWildcard: out.append("*."); break;
     case RuleKind::kNormal: break;
   }
   for (std::size_t i = 0; i < labels_.size(); ++i) {

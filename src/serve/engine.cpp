@@ -99,6 +99,13 @@ Engine::Enqueue Engine::submit_job(std::function<void(const Pinned&)> job) {
   return outcome;
 }
 
+Engine::Pinned Engine::inline_pin(const State& state) const noexcept {
+  // The inline slot follows the worker slots; install() always builds it.
+  RegDomainCache& cache = state.caches.back();
+  return Pinned{state.matcher, state.meta, state.generation,
+                cache.enabled() ? &cache : nullptr, this, nullptr, configured_workers_};
+}
+
 // --- Pinned cached helpers ---------------------------------------------------
 
 namespace {
@@ -157,7 +164,7 @@ bool Engine::Pinned::same_site(std::string_view a, std::string_view b) const noe
 void Engine::Pinned::registrable_domains(std::span<const std::string_view> hosts,
                                          std::span<std::string_view> out) const {
   const std::size_t n = std::min(hosts.size(), out.size());
-  // Worker-thread scratch: reused across batches, so the steady-state path
+  // Per-thread scratch: reused across batches, so the steady-state path
   // allocates nothing.
   thread_local std::vector<std::size_t> miss_index;
   thread_local std::vector<std::string_view> miss_hosts;
@@ -312,12 +319,13 @@ std::uint64_t Engine::install(snapshot::Snapshot next, std::uint64_t target_gene
   next_generation_ = generation;
   auto fresh =
       std::make_shared<State>(State{std::move(next.matcher), next.meta, generation, {}, {}});
-  // Cold caches, one per worker. Built before publication (the state_mutex_
-  // handoff below is the happens-before edge workers read through), sized
-  // here so even the constructor's initial install — which runs before the
-  // worker threads exist — gets the full set.
-  fresh->caches.reserve(configured_workers_);
-  for (std::size_t i = 0; i < configured_workers_; ++i) {
+  // Cold caches, one per worker plus the run_inline slot. Built before
+  // publication (the state_mutex_ handoff below is the happens-before edge
+  // readers go through), sized here so even the constructor's initial
+  // install — which runs before the worker threads exist — gets the full
+  // set. Building one faults in no memory (regdomain_cache.hpp).
+  fresh->caches.reserve(configured_workers_ + 1);
+  for (std::size_t i = 0; i <= configured_workers_; ++i) {
     fresh->caches.emplace_back(cache_slots_);
   }
   // Fresh census per generation, built before publication like the caches:

@@ -180,7 +180,8 @@ util::Result<Url> resolve(const Url& base, std::string_view reference) {
                               ? "[" + base.host().name() + "]"
                               : base.host().name();
   if (base.port() && *base.port() != default_port(base.scheme())) {
-    authority += ":" + std::to_string(*base.port());
+    authority += ':';
+    authority += std::to_string(*base.port());
   }
   const std::string prefix = base.scheme() + "://" + authority;
 

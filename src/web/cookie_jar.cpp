@@ -82,7 +82,7 @@ SetCookieOutcome CookieJar::set_from_header(const url::Url& origin,
     // parse_set_cookie leaves "/" for both "absent" and an explicit
     // Path=/ — identical behaviour either way.
     cookie.path = default_path(origin.path());
-    if (cookie.path.empty()) cookie.path = "/";
+    if (cookie.path.empty()) cookie.path.push_back('/');
   }
 
   // Replace an existing cookie with the same (name, domain, path) identity.

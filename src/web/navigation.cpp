@@ -32,7 +32,8 @@ namespace {
 std::string origin_of(const url::Url& u) {
   std::string out = u.scheme() + "://" + u.host().name();
   if (u.port() && *u.port() != url::default_port(u.scheme())) {
-    out += ":" + std::to_string(*u.port());
+    out += ':';
+    out += std::to_string(*u.port());
   }
   return out;
 }

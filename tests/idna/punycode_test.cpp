@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,11 @@ const Vector kVectors[] = {
      "80akhbyknj4f"},                                               // испытание
     {"\xE2\x98\x83", "n3h"},                                        // ☃ snowman
 };
+
+// Names each instance by its punycode form ("bcher-kva"), not by gtest's
+// default byte dump of the two pointers, which changes with every relink and
+// load address.
+void PrintTo(const Vector& v, std::ostream* os) { *os << v.punycode; }
 
 class PunycodeVectorTest : public ::testing::TestWithParam<Vector> {};
 

@@ -79,8 +79,10 @@ TEST(ConcurrencyTest, IndependentCookieJarsDoNotInterfere) {
       const auto origin =
           url::Url::parse("https://tenant" + std::to_string(t) + ".example.com/");
       for (int iter = 0; iter < 2000; ++iter) {
-        if (jar.set_from_header(*origin, "c" + std::to_string(iter % 16) + "=v") !=
-            web::SetCookieOutcome::kStored) {
+        std::string header(1, 'c');
+        header += std::to_string(iter % 16);
+        header += "=v";
+        if (jar.set_from_header(*origin, header) != web::SetCookieOutcome::kStored) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }

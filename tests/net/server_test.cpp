@@ -1,11 +1,12 @@
 // psl::net::Server + Client over real loopback sockets: round trips for
-// every request type, wire-level backpressure (reject, never hang), frame-
-// vs payload-level violation handling, keep-last-good reloads over the
-// wire, timeouts, max-connection shedding, the UDP fast path and its
-// datagram contract, SO_REUSEPORT load-balancing across two
-// servers on one port, graceful drain, and reload-under-load with
-// concurrent clients (the TSan CI job runs this suite via
-// `ctest -R '^(Serve|Net)'`).
+// every request type, wire-level backpressure (reject, never hang), hot
+// frames answered on the loop thread (no worker needed, pipelined bursts in
+// order, the write-buffer bound), frame- vs payload-level violation
+// handling, keep-last-good reloads over the wire, timeouts, max-connection
+// shedding, the UDP fast path and its datagram contract, SO_REUSEPORT
+// load-balancing across two servers on one port, graceful drain, and
+// reload-under-load with concurrent clients (the TSan CI job runs this
+// suite via `ctest -R '^(Serve|Net)'`).
 #include "psl/net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -25,11 +26,13 @@
 #include <utility>
 #include <vector>
 
+#include "psl/analytics/census.hpp"
 #include "psl/net/client.hpp"
 #include "psl/net/frame.hpp"
 #include "psl/obs/metrics.hpp"
 #include "psl/psl/compiled_matcher.hpp"
 #include "psl/psl/list.hpp"
+#include "psl/psl/match.hpp"
 #include "psl/serve/engine.hpp"
 #include "psl/serve/snapshot.hpp"
 #include "psl/store/store.hpp"
@@ -110,15 +113,13 @@ class RawConn {
   }
 
   /// Block for one whole response frame; returns false on EOF/timeout.
+  /// Bytes past that frame stay buffered for the next call (pipelined
+  /// responses can share one recv).
   bool recv_frame(Frame& out, std::vector<std::uint8_t>& storage) {
-    FrameDecoder decoder;
     std::uint8_t buf[512];
     for (;;) {
-      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-      if (n <= 0) return false;
-      decoder.feed({buf, static_cast<std::size_t>(n)});
       Frame frame;
-      const auto outcome = decoder.next(frame);
+      const auto outcome = decoder_.next(frame);
       if (outcome == FrameDecoder::Next::kFrame) {
         storage.assign(frame.payload.begin(), frame.payload.end());
         out.header = frame.header;
@@ -126,6 +127,9 @@ class RawConn {
         return true;
       }
       if (outcome == FrameDecoder::Next::kError) return false;
+      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+      if (n <= 0) return false;
+      decoder_.feed({buf, static_cast<std::size_t>(n)});
     }
   }
 
@@ -137,7 +141,17 @@ class RawConn {
 
  private:
   int fd_ = -1;
+  FrameDecoder decoder_;
 };
+
+/// A match_batch request frame for `hosts`.
+void append_match_request(std::vector<std::uint8_t>& wire, std::uint32_t id,
+                          const std::vector<std::string>& hosts) {
+  const std::size_t begin = begin_frame(wire, FrameType::kMatchBatch, id);
+  put_u32(wire, static_cast<std::uint32_t>(hosts.size()));
+  for (const std::string& host : hosts) put_str16(wire, host);
+  end_frame(wire, begin);
+}
 
 TEST(NetServerTest, PingStatsRoundTrip) {
   obs::MetricsRegistry metrics;
@@ -205,8 +219,9 @@ TEST(NetServerTest, QueryBatchesRoundTrip) {
 
 TEST(NetServerTest, BackpressureIsWireLevelRejectNotHang) {
   obs::MetricsRegistry metrics;
-  // One worker, zero queue slots: while the worker is pinned, every batch
-  // submit is rejected deterministically.
+  // One worker, zero queue slots: every queued request type is rejected
+  // deterministically. census_query is one (match and same_site never
+  // queue; see HotFramesAnswerWhileTheOnlyWorkerIsBlocked).
   serve::Engine engine(snap_of(list_a()),
                        {.threads = 1, .max_queue_depth = 0, .metrics = &metrics});
   ServerOptions options;
@@ -217,7 +232,7 @@ TEST(NetServerTest, BackpressureIsWireLevelRejectNotHang) {
 
   Client client = connect_or_die(*port);
 
-  auto rejected = client.registrable_domains({"a.example.com"});
+  auto rejected = client.census();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.error().code, "net.backpressure");
 
@@ -410,6 +425,43 @@ TEST(NetServerTest, IdleAndReadTimeoutsCloseConnections) {
   EXPECT_GE(metrics.counter("net.timeout.read").value(), 1);
 }
 
+TEST(NetServerTest, StreamingPeerWhoseReadsEndMidFrameIsNotTimedOut) {
+  obs::MetricsRegistry metrics;
+  serve::Engine engine(snap_of(list_a()), {.threads = 1, .metrics = &metrics});
+  ServerOptions options;
+  options.read_timeout_ms = 150;
+  options.metrics = &metrics;
+  Server server(engine, options);
+  auto port = server.start();
+  ASSERT_TRUE(port.ok());
+
+  // 40 ping frames trickled over ~800 ms, each send ending halfway into the
+  // next frame: the server never sits on the SAME partial frame for long,
+  // though it always holds one. The read timeout bounds one frame, not the
+  // stream.
+  std::vector<std::uint8_t> stream;
+  const std::uint8_t body[64] = {};
+  constexpr std::uint32_t kFrames = 40;
+  for (std::uint32_t id = 1; id <= kFrames; ++id) encode_frame(stream, FrameType::kPing, id, body);
+  const std::size_t frame_bytes = stream.size() / kFrames;
+  RawConn raw(*port);
+  std::size_t sent = 0;
+  for (std::uint32_t i = 1; i < kFrames; ++i) {
+    const std::size_t upto = i * frame_bytes + frame_bytes / 2;
+    raw.send_bytes(std::span(stream).subspan(sent, upto - sent));
+    sent = upto;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  raw.send_bytes(std::span(stream).subspan(sent));
+  Frame response;
+  std::vector<std::uint8_t> storage;
+  for (std::uint32_t id = 1; id <= kFrames; ++id) {
+    ASSERT_TRUE(raw.recv_frame(response, storage)) << "closed before frame " << id;
+    EXPECT_EQ(response.header.id, id);
+  }
+  EXPECT_EQ(metrics.counter("net.timeout.read").value(), 0);
+}
+
 TEST(NetServerTest, WriteStalledPeerIsTimedOutNotSpunOn) {
   obs::MetricsRegistry metrics;
   serve::Engine engine(snap_of(list_a()), {.threads = 1, .metrics = &metrics});
@@ -456,7 +508,16 @@ TEST(NetServerTest, WriteStalledPeerIsTimedOutNotSpunOn) {
 }
 
 TEST(NetServerTest, GracefulDrainAnswersInFlightBatches) {
-  serve::Engine engine(snap_of(list_a()), {.threads = 1, .max_queue_depth = 8});
+  // ingest_batch is a queued request type (match and same_site answer on
+  // the loop thread and never wait for a worker). A small census keeps the
+  // test light.
+  analytics::CensusOptions census;
+  census.host_filter_slots = census.site_filter_slots = census.pair_filter_slots = 1u << 10;
+  census.sketch_width = 1u << 8;
+  serve::Engine engine(snap_of(list_a()),
+                       {.threads = 1,
+                        .max_queue_depth = 8,
+                        .census_factory = analytics::census_factory(census)});
   Server server(engine, {});
   auto port = server.start();
   ASSERT_TRUE(port.ok());
@@ -476,9 +537,11 @@ TEST(NetServerTest, GracefulDrainAnswersInFlightBatches) {
 
   std::thread querier([&] {
     Client client = connect_or_die(*port);
-    auto domains = client.registrable_domains({"a.b.example.com"});
-    ASSERT_TRUE(domains.ok()) << domains.error().message;
-    EXPECT_EQ((*domains)[0], "example.com");
+    const WireIngestRecord record{"a.b.example.com", "cdn.example.com", 1};
+    auto ack = client.ingest_batch(std::span(&record, 1));
+    ASSERT_TRUE(ack.ok()) << ack.error().message;
+    EXPECT_EQ(ack->generation, 1u);
+    EXPECT_EQ(ack->accepted, 1u);
   });
 
   // Wait until the pinned job occupies the worker AND the client batch sits
@@ -499,6 +562,161 @@ TEST(NetServerTest, GracefulDrainAnswersInFlightBatches) {
   server.shutdown();
   querier.join();
   releaser.join();
+}
+
+TEST(NetServerTest, HotFramesAnswerWhileTheOnlyWorkerIsBlocked) {
+  obs::MetricsRegistry metrics;
+  serve::Engine engine(snap_of(list_a()),
+                       {.threads = 1, .max_queue_depth = 1, .metrics = &metrics});
+  ServerOptions options;
+  options.metrics = &metrics;
+  Server server(engine, options);
+  auto port = server.start();
+  ASSERT_TRUE(port.ok());
+
+  // Block the only worker: any answer below proves the request never
+  // needed one.
+  std::mutex m;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> blocked{false};
+  ASSERT_EQ(engine.submit_job([&](const serve::Engine::Pinned&) {
+              blocked.store(true);
+              std::unique_lock<std::mutex> lock(m);
+              cv.wait(lock, [&] { return release; });
+            }),
+            serve::Engine::Enqueue::kOk);
+  for (int i = 0; i < 400 && !blocked.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(blocked.load());
+
+  Client client = connect_or_die(*port);
+  auto domains = client.registrable_domains({"a.b.example.com", "co.uk"});
+  ASSERT_TRUE(domains.ok()) << domains.error().message;
+  EXPECT_EQ(*domains, (std::vector<std::string>{"example.com", ""}));
+  auto sites = client.same_site_batch({{"a.x.co.uk", "b.x.co.uk"}, {"one.com", "two.com"}});
+  ASSERT_TRUE(sites.ok()) << sites.error().message;
+  EXPECT_EQ(*sites, (std::vector<std::uint8_t>{1, 0}));
+  EXPECT_EQ(metrics.counter("serve.queries").value(), 4);
+  EXPECT_EQ(engine.queue_depth(), 0u);
+
+  {
+    std::lock_guard<std::mutex> lock(m);
+    release = true;
+  }
+  cv.notify_all();
+  server.shutdown();
+}
+
+TEST(NetServerTest, PipelinedHotFramesAnswerInOrder) {
+  serve::Engine engine(snap_of(list_a()), {.threads = 1});
+  Server server(engine, {});
+  auto port = server.start();
+  ASSERT_TRUE(port.ok());
+
+  // 300 frames, alternating match_batch and same_site_batch, in ONE send.
+  // Each expected response is encoded from the reference matcher.
+  const CompiledMatcher reference(list_a());
+  const std::vector<std::string> pool = {"a.b.example.com", "x.co.uk", "co.uk",
+                                         "user.github.io", "github.io", "www.example.co.uk",
+                                         "one.com", "two.com", ""};
+  std::vector<std::uint8_t> wire;
+  std::vector<std::vector<std::uint8_t>> expected;
+  constexpr std::uint32_t kFrames = 300;
+  for (std::uint32_t id = 1; id <= kFrames; ++id) {
+    std::vector<std::uint8_t> body;
+    put_u8(body, static_cast<std::uint8_t>(Status::kOk));
+    const std::size_t count = 1 + id % 3;
+    if (id % 2 == 1) {
+      std::vector<std::string> hosts;
+      for (std::size_t k = 0; k < count; ++k) hosts.push_back(pool[(id + k) % pool.size()]);
+      append_match_request(wire, id, hosts);
+      put_u32(body, static_cast<std::uint32_t>(count));
+      for (const std::string& host : hosts) {
+        const MatchView view = reference.match_view(host);
+        put_str16(body, view.public_suffix);
+        put_str16(body, view.registrable_domain);
+        put_u8(body, static_cast<std::uint8_t>((view.matched_explicit_rule ? 1u : 0u) |
+                                               (view.section == Section::kPrivate ? 2u : 0u)));
+      }
+    } else {
+      const std::size_t begin = begin_frame(wire, FrameType::kSameSiteBatch, id);
+      put_u32(wire, static_cast<std::uint32_t>(count));
+      put_u32(body, static_cast<std::uint32_t>(count));
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::string& a = pool[(id + k) % pool.size()];
+        const std::string& b = pool[(id * 7 + k) % pool.size()];
+        put_str16(wire, a);
+        put_str16(wire, b);
+        put_u8(body, same_site(reference, a, b) ? 1 : 0);
+      }
+      end_frame(wire, begin);
+    }
+    expected.push_back(std::move(body));
+  }
+
+  RawConn raw(*port);
+  raw.send_bytes(wire);
+  Frame response;
+  std::vector<std::uint8_t> storage;
+  for (std::uint32_t id = 1; id <= kFrames; ++id) {
+    ASSERT_TRUE(raw.recv_frame(response, storage)) << "no response for frame " << id;
+    EXPECT_EQ(response.header.id, id);
+    EXPECT_EQ(response.header.type,
+              response_type(id % 2 == 1 ? FrameType::kMatchBatch : FrameType::kSameSiteBatch));
+    EXPECT_EQ(std::vector<std::uint8_t>(response.payload.begin(), response.payload.end()),
+              expected[id - 1])
+        << "frame " << id;
+  }
+}
+
+TEST(NetServerTest, PipeliningPeerThatNeverReadsIsBoundedAndTimedOut) {
+  obs::MetricsRegistry metrics;
+  serve::Engine engine(snap_of(list_a()), {.threads = 1, .metrics = &metrics});
+  ServerOptions options;
+  options.max_frame_bytes = 4096;  // the output bound under test
+  options.idle_timeout_ms = 60'000;
+  // Shorter than the write-stall timeout: frames held back by the output
+  // bound must not count as a half-sent frame.
+  options.read_timeout_ms = 300;
+  options.write_stall_timeout_ms = 1000;
+  options.metrics = &metrics;
+  Server server(engine, options);
+  auto port = server.start();
+  ASSERT_TRUE(port.ok());
+
+  // A tiny-window peer pipelines ~16 MiB of match_batch frames and never
+  // reads. Every frame is answerable on the loop thread, so only the write
+  // bound can stop the server: it must stop answering and reading once the
+  // unflushed output passes max_frame_bytes, and the write-stall timeout
+  // must then reclaim the connection.
+  std::vector<std::uint8_t> one;
+  append_match_request(one, 1,
+                       std::vector<std::string>(20, "a.b.example.com"));
+  std::vector<std::uint8_t> burst;
+  const std::size_t frames = (16u << 20) / one.size();
+  burst.reserve(one.size() * frames);
+  for (std::size_t i = 0; i < frames; ++i) burst.insert(burst.end(), one.begin(), one.end());
+  {
+    RawConn stalled(*port, /*rcvbuf_bytes=*/4096);
+    stalled.blast(burst);
+    for (int i = 0; i < 1000 && (metrics.counter("net.timeout.write_stall").value() == 0 ||
+                                 server.connection_count() != 0);
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_GE(metrics.counter("net.timeout.write_stall").value(), 1);
+    EXPECT_EQ(metrics.counter("net.timeout.read").value(), 0);
+    EXPECT_EQ(server.connection_count(), 0u);
+  }
+  // The server stopped reading: had it kept answering into an unbounded
+  // buffer, it would have consumed the whole burst.
+  EXPECT_GT(metrics.counter("net.bytes_in").value(), 0);
+  EXPECT_LT(metrics.counter("net.bytes_in").value(), static_cast<std::int64_t>(burst.size()) / 2);
+
+  Client client = connect_or_die(*port);
+  EXPECT_TRUE(client.ping().ok());
 }
 
 TEST(NetServerTest, ReloadUnderLoadManyClients) {

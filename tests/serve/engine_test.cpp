@@ -178,6 +178,35 @@ TEST(ServeEngineTest, ShutdownDrainsAcceptedBatches) {
   }
 }
 
+TEST(ServeEngineTest, RunInlinePinsOneStateOnTheCallingThread) {
+  obs::MetricsRegistry metrics;
+  Engine engine(snap_of(list_a()), {.threads = 2, .metrics = &metrics});
+  const std::thread::id caller = std::this_thread::get_id();
+  bool ran = false;
+  engine.run_inline([&](const Engine::Pinned& pinned) {
+    ran = true;
+    EXPECT_EQ(std::this_thread::get_id(), caller);  // no hand-off
+    EXPECT_EQ(pinned.generation, 1u);
+    EXPECT_NE(pinned.cache, nullptr);
+    EXPECT_EQ(pinned.census, nullptr);  // census ingest stays on the workers
+    EXPECT_EQ(pinned.worker, engine.worker_count());  // the inline slot
+    EXPECT_EQ(pinned.registrable_domain_view("a.b.example.com"), "example.com");
+    EXPECT_EQ(pinned.registrable_domain_view("a.b.example.com"), "example.com");  // hit
+    EXPECT_TRUE(pinned.same_site("a.example.com", "b.example.com"));
+  });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(metrics.counter("serve.batches").value(), 1);
+  EXPECT_EQ(metrics.histogram("serve.batch_ms").count(), 1);
+  EXPECT_GE(metrics.counter("serve.cache.hit").value(), 1);
+
+  // A swap is visible to the next inline batch, through a cold cache.
+  engine.reload_list(list_b());
+  engine.run_inline([&](const Engine::Pinned& pinned) {
+    EXPECT_EQ(pinned.generation, 2u);
+    EXPECT_EQ(pinned.registrable_domain_view("a.b.example.com"), "b.example.com");
+  });
+}
+
 TEST(ServeEngineTest, MetricsAreWired) {
   obs::MetricsRegistry metrics;
   {
