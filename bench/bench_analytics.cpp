@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "serving.hpp"
 #include "psl/analytics/census.hpp"
 #include "psl/net/client.hpp"
 #include "psl/net/server.hpp"
@@ -47,22 +48,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+using psl::bench::snapshot_of;
+
 constexpr std::uint64_t kGateRecords = 10'000'000;
 constexpr std::size_t kGateBudgetBytes = 64u << 20;
-
-psl::snapshot::Snapshot snapshot_of(const psl::List& list, psl::util::Date source_date) {
-  psl::snapshot::Metadata meta;
-  meta.source_date = source_date;
-  meta.rule_count = list.rules().size();
-  const std::string bytes = psl::snapshot::serialize(psl::CompiledMatcher(list), meta);
-  auto loaded = psl::snapshot::load_copy(
-      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
-  if (!loaded.ok()) {
-    std::cerr << "snapshot self-load failed: " << loaded.error().message << "\n";
-    std::exit(2);
-  }
-  return *std::move(loaded);
-}
 
 /// The corpus requests as wire records; views point into the corpus's
 /// hostname table, which outlives every use here.

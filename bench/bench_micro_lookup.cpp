@@ -1,11 +1,11 @@
 // Engineering/ablation bench: PSL matching throughput.
 //
 // DESIGN.md ablation #1, extended for the query-acceleration stack:
-// reversed-label trie (psl::List) vs. hash-set per-depth probing
-// (psl::FlatMatcher) vs. the arena-compiled matcher (psl::CompiledMatcher),
-// single match_view vs. match_batch (a loop over match_view) vs.
-// batched+cached (match_batch behind a RegDomainCache, the serve-layer hot
-// path) — over the full list, a realistic uniform host mix, and a
+// reversed-label trie (psl::List) vs. the arena-compiled matcher
+// (psl::CompiledMatcher), single match_view vs. match_batch (a loop over
+// match_view) vs. batched+cached (the serve layer's own cached path:
+// Engine::run_inline + Pinned::registrable_domains, match_batch behind a
+// RegDomainCache) — over the full list, a realistic uniform host mix, and a
 // Zipf-skewed stream. Every match benchmark also reports heap allocations
 // per operation (a replaced global operator new) — match_view AND the whole
 // batched path must show 0. Also measures file parsing and the construction
@@ -24,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <new>
 #include <span>
 #include <string>
@@ -31,12 +32,11 @@
 #include <vector>
 
 #include "common.hpp"
-#include "psl/history/timeline.hpp"
+#include "serving.hpp"
 #include "psl/psl/compiled_matcher.hpp"
-#include "psl/psl/flat_matcher.hpp"
 #include "psl/psl/list.hpp"
-#include "psl/serve/regdomain_cache.hpp"
-#include "psl/util/namegen.hpp"
+#include "psl/obs/metrics.hpp"
+#include "psl/serve/engine.hpp"
 #include "psl/util/rng.hpp"
 #include "psl/util/zipf.hpp"
 
@@ -61,40 +61,10 @@ std::atomic<std::size_t> g_alloc_count{0};
 
 namespace {
 
-const psl::List& full_list() {
-  static const psl::history::History history =
-      psl::history::generate_history(psl::history::TimelineSpec{});
-  return history.latest();
-}
+const psl::List& full_list() { return psl::bench::full_history().latest(); }
 
-/// Hosts of varying depth, half under real suffixes, half random.
 const std::vector<std::string>& host_mix() {
-  static const std::vector<std::string> hosts = [] {
-    psl::util::Rng rng(7);
-    psl::util::NameGen names{rng.fork(1)};
-    const auto& rules = full_list().rules();
-    std::vector<std::string> out;
-    out.reserve(4096);
-    for (int i = 0; i < 4096; ++i) {
-      std::string host = names.fresh();
-      if (rng.chance(0.5)) {
-        const auto& rule = rules[rng.below(rules.size())];
-        std::string suffix;
-        for (const auto& label : rule.labels()) {
-          if (!suffix.empty()) suffix.push_back('.');
-          suffix += label;
-        }
-        host += "." + suffix;
-      } else {
-        host += '.';
-        host += names.fresh();
-        host += rng.chance(0.5) ? ".com" : ".net";
-      }
-      if (rng.chance(0.4)) host = "www." + host;
-      out.push_back(std::move(host));
-    }
-    return out;
-  }();
+  static const std::vector<std::string> hosts = psl::bench::host_mix(full_list());
   return hosts;
 }
 
@@ -124,19 +94,6 @@ void BM_TrieMatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TrieMatch);
-
-void BM_FlatMatch(benchmark::State& state) {
-  const psl::FlatMatcher matcher(full_list());
-  const auto& hosts = host_mix();
-  std::size_t i = 0;
-  const AllocCounter allocs;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.match(hosts[i++ & 4095]));
-  }
-  allocs.report(state);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlatMatch);
 
 void BM_CompiledMatch(benchmark::State& state) {
   // The allocating Match adapter — apples-to-apples with the two above.
@@ -182,48 +139,22 @@ const std::vector<std::string_view>& zipf_stream() {
   return stream;
 }
 
-/// The serve-layer fast path, minus the engine plumbing: look every host up
-/// in the cache, batch the misses through match_batch, insert their
-/// boundaries. Returns the number of hits (for the hit-rate report). All
-/// buffers are caller-owned so the loop allocates nothing.
-std::size_t cached_batch_lookup(const psl::CompiledMatcher& matcher,
-                                psl::serve::RegDomainCache& cache,
-                                std::span<const std::string_view> hosts,
-                                std::span<std::string_view> out,
-                                std::vector<std::size_t>& miss_index,
-                                std::vector<std::string_view>& miss_hosts,
-                                std::vector<std::uint64_t>& miss_hashes,
-                                std::vector<psl::MatchView>& miss_views) {
-  using psl::serve::RegDomainCache;
-  miss_index.clear();
-  miss_hosts.clear();
-  miss_hashes.clear();
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    std::string_view stripped = hosts[i];
-    if (!stripped.empty() && stripped.back() == '.') stripped.remove_suffix(1);
-    const std::uint64_t h = RegDomainCache::hash_host(stripped);
-    std::uint32_t rd_len = 0;
-    if (cache.lookup(h, rd_len)) {
-      out[i] = rd_len == RegDomainCache::kNoDomain
-                   ? std::string_view{}
-                   : stripped.substr(stripped.size() - rd_len);
-      ++hits;
-    } else {
-      miss_index.push_back(i);
-      miss_hosts.push_back(hosts[i]);
-      miss_hashes.push_back(h);
-    }
-  }
-  miss_views.resize(miss_index.size());
-  matcher.match_batch(miss_hosts, miss_views);
-  for (std::size_t j = 0; j < miss_index.size(); ++j) {
-    const std::string_view rd = miss_views[j].registrable_domain;
-    out[miss_index[j]] = rd;
-    cache.insert(miss_hashes[j],
-                 rd.empty() ? RegDomainCache::kNoDomain : static_cast<std::uint32_t>(rd.size()));
-  }
-  return hits;
+/// An engine over `matcher` whose caches hold `slots` entries. The cached
+/// runs below answer through its inline slot, the serve layer's own path
+/// (Engine::run_inline + Pinned::registrable_domains).
+std::unique_ptr<psl::serve::Engine> cached_engine(const psl::CompiledMatcher& matcher,
+                                                  std::size_t slots,
+                                                  psl::obs::MetricsRegistry* metrics = nullptr) {
+  return std::make_unique<psl::serve::Engine>(
+      psl::snapshot::Snapshot{matcher, {}},
+      psl::serve::EngineOptions{.threads = 1, .cache_slots = slots, .metrics = metrics});
+}
+
+/// One batch through the cached path.
+void cached_batch_lookup(psl::serve::Engine& engine, std::span<const std::string_view> hosts,
+                         std::span<std::string_view> out) {
+  engine.run_inline(
+      [&](const psl::serve::Engine::Pinned& pinned) { pinned.registrable_domains(hosts, out); });
 }
 
 constexpr std::size_t kBenchBatch = 64;
@@ -281,25 +212,16 @@ void BM_CachedBatchZipf(benchmark::State& state) {
   // The full serve-layer fast path: RegDomainCache in front of match_batch,
   // on the skewed stream. Steady-state allocs/op must print 0 (the scratch
   // vectors reach their high-water capacity in the first iterations).
-  const psl::CompiledMatcher matcher(full_list());
+  const auto engine = cached_engine(psl::CompiledMatcher(full_list()), 16384);
   const auto& stream = zipf_stream();
-  psl::serve::RegDomainCache cache(16384);
   std::vector<std::string_view> batch(kBenchBatch);
   std::vector<std::string_view> domains(kBenchBatch);
-  std::vector<std::size_t> miss_index;
-  std::vector<std::string_view> miss_hosts;
-  std::vector<std::uint64_t> miss_hashes;
-  std::vector<psl::MatchView> miss_views;
-  miss_index.reserve(kBenchBatch);
-  miss_hosts.reserve(kBenchBatch);
-  miss_hashes.reserve(kBenchBatch);
-  miss_views.reserve(kBenchBatch);
   std::size_t i = 0;
   const AllocCounter allocs;
   for (auto _ : state) {
     for (std::size_t k = 0; k < kBenchBatch; ++k) batch[k] = stream[i++ & 0xFFFF];
-    benchmark::DoNotOptimize(cached_batch_lookup(matcher, cache, batch, domains, miss_index,
-                                                 miss_hosts, miss_hashes, miss_views));
+    cached_batch_lookup(*engine, batch, domains);
+    benchmark::DoNotOptimize(domains.data());
   }
   allocs.report(state);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBenchBatch));
@@ -347,13 +269,6 @@ void BM_BuildFromRules(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildFromRules);
-
-void BM_FlatMatcherConstruction(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(psl::FlatMatcher(full_list()));
-  }
-}
-BENCHMARK(BM_FlatMatcherConstruction);
 
 void BM_CompiledMatcherConstruction(benchmark::State& state) {
   // The price of freezing a snapshot — what each sweep worker pays once per
@@ -404,21 +319,17 @@ int run_smoke() {
   };
   std::vector<CachePoint> sweep;
   std::vector<std::string_view> domains(kBenchBatch);
-  std::vector<std::size_t> miss_index;
-  std::vector<std::string_view> miss_hosts;
-  std::vector<std::uint64_t> miss_hashes;
-  std::vector<psl::MatchView> miss_views;
   for (const std::size_t slots : {std::size_t{256}, std::size_t{1024}, std::size_t{4096},
                                   std::size_t{16384}}) {
-    psl::serve::RegDomainCache cache(slots);
-    std::size_t hits = 0;
+    psl::obs::MetricsRegistry metrics;
+    const auto engine = cached_engine(matcher, slots, &metrics);
     const auto t2 = Clock::now();
     for (std::size_t i = 0; i < kQueries; i += kBenchBatch) {
       for (std::size_t k = 0; k < kBenchBatch; ++k) batch[k] = stream[(i + k) & 0xFFFF];
-      hits += cached_batch_lookup(matcher, cache, batch, domains, miss_index, miss_hosts,
-                                  miss_hashes, miss_views);
+      cached_batch_lookup(*engine, batch, domains);
     }
     const double ms = std::chrono::duration<double, std::milli>(Clock::now() - t2).count();
+    const auto hits = static_cast<std::size_t>(metrics.counter("serve.cache.hit").value());
     sweep.push_back({slots, static_cast<double>(hits) / static_cast<double>(kQueries),
                      kQueries / (ms / 1000.0)});
   }

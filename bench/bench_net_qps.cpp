@@ -1,6 +1,6 @@
 // Socket-serving throughput ablation: loopback QPS through the full
 // client -> PSLN wire protocol -> net::Server -> serve::Engine -> client
-// path, across engine-worker count x batch size, plus a reload-under-load
+// path, across batch sizes, plus a reload-under-load
 // run that ships ~50 snapshot hot-swaps OVER THE WIRE while client threads
 // keep querying (the deployed form of the paper's "update the PSL without
 // breaking boundary checks" scenario, §6).
@@ -13,7 +13,9 @@
 //
 // Every measured cell also reports round-trip latency percentiles
 // (p50/p90/p99/p999 per batch round trip) beside its throughput, in the
-// table and in the JSON.
+// table and in the JSON. The load is match_batch frames, which the server
+// answers on its event-loop thread, so the engine's worker count is not an
+// axis: no worker touches them.
 //
 // Usage: bench_net_qps [--smoke] [--shards N] [queries_per_cell] [max_threads]
 //   --smoke           tiny fixed workload for CI (2000 queries/cell, 2
@@ -27,10 +29,11 @@
 //                     the first, the client threads to the second, so load
 //                     generation never competes with the shards it
 //                     measures. Writes BENCH_net_shards.json
-//   queries_per_cell  queries measured per (threads, batch) cell
+//   queries_per_cell  queries measured per cell
 //                     (default 100000; 20000 in --smoke --shards)
-//   max_threads       highest engine worker count tried (default
-//                     hardware_concurrency)
+//   max_threads       bounds the engine worker count: min(4, max_threads)
+//                     for the batch and cache cells, max(2, max_threads)
+//                     for the reload run (default hardware_concurrency)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sched.h>
@@ -50,6 +53,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "serving.hpp"
 #include "psl/net/client.hpp"
 #include "psl/net/server.hpp"
 #include "psl/obs/json.hpp"
@@ -59,7 +63,6 @@
 #include "psl/serve/engine.hpp"
 #include "psl/serve/snapshot.hpp"
 #include "psl/util/date.hpp"
-#include "psl/util/namegen.hpp"
 #include "psl/util/rng.hpp"
 #include "psl/util/strings.hpp"
 #include "psl/util/table.hpp"
@@ -68,49 +71,8 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Same workload recipe as bench_serve_qps, so the delta between the two
-/// binaries is exactly the socket + framing overhead.
-std::vector<std::string> host_mix(const psl::List& list) {
-  psl::util::Rng rng(7);
-  psl::util::NameGen names{rng.fork(1)};
-  const auto& rules = list.rules();
-  std::vector<std::string> out;
-  out.reserve(4096);
-  for (int i = 0; i < 4096; ++i) {
-    std::string host = names.fresh();
-    if (rng.chance(0.5)) {
-      const auto& rule = rules[rng.below(rules.size())];
-      std::string suffix;
-      for (const auto& label : rule.labels()) {
-        if (!suffix.empty()) suffix.push_back('.');
-        suffix += label;
-      }
-      host += "." + suffix;
-    } else {
-      host += '.';
-      host += names.fresh();
-      host += rng.chance(0.5) ? ".com" : ".net";
-    }
-    if (rng.chance(0.4)) host = "www." + host;
-    out.push_back(std::move(host));
-  }
-  return out;
-}
-
-psl::snapshot::Snapshot snapshot_of(const psl::List& list, psl::util::Date source_date) {
-  psl::snapshot::Metadata meta;
-  meta.source_date = source_date;
-  meta.rule_count = list.rules().size();
-  const std::string bytes = psl::snapshot::serialize(psl::CompiledMatcher(list), meta);
-  auto loaded = psl::snapshot::load_copy(
-      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
-  if (!loaded.ok()) {
-    std::cerr << "snapshot self-load failed: " << loaded.error().message << "\n";
-    std::exit(2);
-  }
-  return *std::move(loaded);
-}
+using psl::bench::host_mix;
+using psl::bench::snapshot_of;
 
 /// Round-trip latency percentiles, in milliseconds. One sample = one batch
 /// round trip (send -> engine -> full response parsed), the unit a caller
@@ -139,7 +101,6 @@ Percentiles percentiles_of(std::vector<double>& samples_ms) {
 }
 
 struct Cell {
-  std::size_t threads = 0;
   std::size_t batch = 0;
   double wall_ms = 0.0;
   double qps = 0.0;
@@ -535,33 +496,29 @@ int main(int argc, char** argv) {
   const psl::snapshot::Snapshot seed = snapshot_of(list, latest_date);
   const std::size_t clients = smoke ? 2 : 4;
 
-  std::cout << "=== psl::net loopback: engine threads x batch-size QPS ablation ===\n";
-  std::cout << "rules: " << list.rules().size() << ", queries/cell: " << queries_per_cell
-            << ", client connections: " << clients << ", hardware threads: " << hardware
-            << "\n\n";
+  const std::size_t engine_threads = std::min<std::size_t>(4, max_threads);
 
-  std::vector<std::size_t> thread_counts;
-  for (unsigned t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
+  std::cout << "=== psl::net loopback: batch-size QPS ablation ===\n";
+  std::cout << "rules: " << list.rules().size() << ", queries/cell: " << queries_per_cell
+            << ", client connections: " << clients << ", engine threads: " << engine_threads
+            << ", hardware threads: " << hardware << "\n\n";
+
   const std::vector<std::size_t> batch_sizes =
       smoke ? std::vector<std::size_t>{1, 256} : std::vector<std::size_t>{1, 16, 256, 4096};
 
   std::vector<Cell> cells;
-  for (const std::size_t threads : thread_counts) {
-    for (const std::size_t batch : batch_sizes) {
-      Cell cell;
-      cell.threads = threads;
-      cell.batch = batch;
-      cell.wall_ms = run_cell(seed, hosts, threads, clients, queries_per_cell, batch, nullptr,
-                              16384, &cell.latency);
-      cell.qps = static_cast<double>(queries_per_cell) / (cell.wall_ms / 1000.0);
-      cells.push_back(cell);
-    }
+  for (const std::size_t batch : batch_sizes) {
+    Cell cell;
+    cell.batch = batch;
+    cell.wall_ms = run_cell(seed, hosts, engine_threads, clients, queries_per_cell, batch,
+                            nullptr, 16384, &cell.latency);
+    cell.qps = static_cast<double>(queries_per_cell) / (cell.wall_ms / 1000.0);
+    cells.push_back(cell);
   }
 
-  psl::util::TextTable table({"engine threads", "batch size", "wall time", "queries/sec",
-                              "p50", "p99", "p999"});
+  psl::util::TextTable table({"batch size", "wall time", "queries/sec", "p50", "p99", "p999"});
   for (const Cell& cell : cells) {
-    table.add_row({std::to_string(cell.threads), std::to_string(cell.batch),
+    table.add_row({std::to_string(cell.batch),
                    psl::util::fmt_double(cell.wall_ms, 0) + " ms",
                    psl::util::fmt_double(cell.qps, 0),
                    psl::util::fmt_double(cell.latency.p50, 3) + " ms",
@@ -590,7 +547,6 @@ int main(int argc, char** argv) {
     double qps = 0.0;
   };
   std::vector<CacheCell> cache_cells;
-  const std::size_t cache_threads = std::min<std::size_t>(4, max_threads);
   const std::vector<std::size_t> cache_batches =
       smoke ? std::vector<std::size_t>{16} : std::vector<std::size_t>{16, 256};
   for (const std::size_t batch : cache_batches) {
@@ -598,7 +554,7 @@ int main(int argc, char** argv) {
       CacheCell cell;
       cell.cached = cached;
       cell.batch = batch;
-      cell.wall_ms = run_cell(seed, zipf_stream, cache_threads, clients, queries_per_cell,
+      cell.wall_ms = run_cell(seed, zipf_stream, engine_threads, clients, queries_per_cell,
                               batch, nullptr, cached ? 16384 : 0);
       cell.qps = static_cast<double>(queries_per_cell) / (cell.wall_ms / 1000.0);
       cache_cells.push_back(cell);
@@ -700,10 +656,11 @@ int main(int argc, char** argv) {
   json << "  \"queries_per_cell\": " << queries_per_cell << ",\n";
   json << "  \"client_connections\": " << clients << ",\n";
   json << "  \"hardware_threads\": " << hardware << ",\n";
+  json << "  \"engine_threads\": " << engine_threads << ",\n";
   json << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    json << "    {\"threads\": " << cell.threads << ", \"batch_size\": " << cell.batch
+    json << "    {\"batch_size\": " << cell.batch
          << ", \"wall_ms\": " << psl::util::fmt_double(cell.wall_ms, 2)
          << ", \"qps\": " << psl::util::fmt_double(cell.qps, 1)
          << ", \"p50_ms\": " << psl::util::fmt_double(cell.latency.p50, 4)
@@ -716,7 +673,7 @@ int main(int argc, char** argv) {
   json << "  \"zipf_cache_comparison\": [\n";
   for (std::size_t i = 0; i < cache_cells.size(); ++i) {
     const CacheCell& cell = cache_cells[i];
-    json << "    {\"threads\": " << cache_threads << ", \"batch_size\": " << cell.batch
+    json << "    {\"threads\": " << engine_threads << ", \"batch_size\": " << cell.batch
          << ", \"cached\": " << (cell.cached ? "true" : "false")
          << ", \"wall_ms\": " << psl::util::fmt_double(cell.wall_ms, 2)
          << ", \"qps\": " << psl::util::fmt_double(cell.qps, 1) << "}"

@@ -21,12 +21,16 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common.hpp"
+#include "serving.hpp"
 #include "psl/obs/json.hpp"
 #include "psl/obs/metrics.hpp"
 #include "psl/psl/compiled_matcher.hpp"
@@ -34,7 +38,6 @@
 #include "psl/serve/engine.hpp"
 #include "psl/serve/snapshot.hpp"
 #include "psl/util/date.hpp"
-#include "psl/util/namegen.hpp"
 #include "psl/util/rng.hpp"
 #include "psl/util/strings.hpp"
 #include "psl/util/table.hpp"
@@ -43,50 +46,8 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Hosts of varying depth, half under real suffixes (same recipe as
-/// bench_micro_lookup so the two binaries measure the same workload).
-std::vector<std::string> host_mix(const psl::List& list) {
-  psl::util::Rng rng(7);
-  psl::util::NameGen names{rng.fork(1)};
-  const auto& rules = list.rules();
-  std::vector<std::string> out;
-  out.reserve(4096);
-  for (int i = 0; i < 4096; ++i) {
-    std::string host = names.fresh();
-    if (rng.chance(0.5)) {
-      const auto& rule = rules[rng.below(rules.size())];
-      std::string suffix;
-      for (const auto& label : rule.labels()) {
-        if (!suffix.empty()) suffix.push_back('.');
-        suffix += label;
-      }
-      host += "." + suffix;
-    } else {
-      host += '.';
-      host += names.fresh();
-      host += rng.chance(0.5) ? ".com" : ".net";
-    }
-    if (rng.chance(0.4)) host = "www." + host;
-    out.push_back(std::move(host));
-  }
-  return out;
-}
-
-/// Seed an engine through the full serialize -> validate -> load path.
-psl::snapshot::Snapshot snapshot_of(const psl::List& list, psl::util::Date source_date) {
-  psl::snapshot::Metadata meta;
-  meta.source_date = source_date;
-  meta.rule_count = list.rules().size();
-  const std::string bytes = psl::snapshot::serialize(psl::CompiledMatcher(list), meta);
-  auto loaded = psl::snapshot::load_copy(
-      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
-  if (!loaded.ok()) {
-    std::cerr << "snapshot self-load failed: " << loaded.error().message << "\n";
-    std::exit(2);
-  }
-  return *std::move(loaded);
-}
+using psl::bench::host_mix;
+using psl::bench::snapshot_of;
 
 struct Cell {
   std::size_t threads = 0;
@@ -95,27 +56,43 @@ struct Cell {
   double qps = 0.0;
 };
 
+/// Queue one batch — hosts[first .. first + n), wrapping at 4096 — as a
+/// submit_job job answered through Pinned::registrable_domains. The future
+/// resolves once a worker has answered it; nullopt when the queue is full.
+std::optional<std::future<void>> submit_batch(psl::serve::Engine& engine,
+                                              const std::vector<std::string>& hosts,
+                                              std::size_t first, std::size_t n) {
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> answered = done->get_future();
+  const auto outcome = engine.submit_job(
+      [&engine, &hosts, first, n, done](const psl::serve::Engine::Pinned& pinned) {
+        thread_local std::vector<std::string_view> batch;
+        thread_local std::vector<std::string_view> domains;
+        batch.clear();
+        for (std::size_t i = 0; i < n; ++i) batch.push_back(hosts[(first + i) & 4095]);
+        domains.resize(n);
+        pinned.registrable_domains(batch, domains);
+        engine.count_queries(n);
+        done->set_value();
+      });
+  if (outcome != psl::serve::Engine::Enqueue::kOk) return std::nullopt;
+  return answered;
+}
+
 /// Drive `total` queries through the engine in batches of `batch`, keeping a
 /// bounded window of in-flight futures so workers never starve.
 double run_cell(psl::serve::Engine& engine, const std::vector<std::string>& hosts,
                 std::size_t total, std::size_t batch) {
   const std::size_t window = 2 * engine.worker_count() + 2;
-  std::deque<std::future<std::vector<std::string>>> inflight;
-  std::vector<std::string> request;
-  request.reserve(batch);
+  std::deque<std::future<void>> inflight;
 
   const auto t0 = Clock::now();
   std::size_t sent = 0;
-  std::size_t host_index = 0;
   while (sent < total) {
-    request.clear();
     const std::size_t n = std::min(batch, total - sent);
-    for (std::size_t i = 0; i < n; ++i) {
-      request.push_back(hosts[host_index++ & 4095]);
-    }
     for (;;) {
-      auto submitted = engine.submit_registrable_domains(request);
-      if (submitted.ok()) {
+      auto submitted = submit_batch(engine, hosts, sent, n);
+      if (submitted) {
         inflight.push_back(std::move(*submitted));
         break;
       }

@@ -5,7 +5,7 @@
 //
 //   $ psld --listen 127.0.0.1:7878 (--snapshot list.psnap | --store hist.pstore)
 //          [--threads N] [--max-conns N] [--queue-depth N]
-//          [--max-frame BYTES] [--udp] [--shards N] [--analytics]
+//          [--max-frame BYTES] [--shards N] [--analytics]
 //
 //   Boots a serve::Engine from the validated snapshot file — or, with
 //   --store, from the newest version of a multi-version psl::store file,
@@ -89,7 +89,7 @@ int usage() {
                "usage:\n"
                "  psld --listen ADDR:PORT (--snapshot FILE | --store FILE) [--threads N]\n"
                "       [--max-conns N] [--queue-depth N] [--max-frame BYTES]\n"
-               "       [--udp] [--shards N] [--analytics]\n"
+               "       [--shards N] [--analytics]\n"
                "PORT 0 asks the kernel for an ephemeral port; the banner names it.\n"
                "--shards N forks N acceptor processes sharing the port via\n"
                "SO_REUSEPORT and the snapshot via a shared mapping (requires\n"
@@ -104,8 +104,7 @@ int usage() {
                "  psld reload ADDR:PORT SNAPSHOT_FILE\n"
                "  psld watch  ADDR:PORT [COUNT]\n"
                "client subcommands also accept --max-frame BYTES (wire payloads,\n"
-               "including reload snapshots, are bounded by the frame cap) and\n"
-               "--udp (query/ping/stats over the datagram fast path)\n");
+               "including reload snapshots, are bounded by the frame cap)\n");
   return 2;
 }
 
@@ -151,10 +150,6 @@ int cmd_compile(const std::string& list_path, const std::string& out_path) {
   return 0;
 }
 
-// Client subcommands: --udp (stripped in main, like --max-frame) switches
-// query/ping/stats to the datagram fast path.
-bool g_client_udp = false;
-
 psl::util::Result<psl::net::Client> connect_to(std::string_view endpoint,
                                                std::size_t max_frame) {
   std::string address;
@@ -165,8 +160,7 @@ psl::util::Result<psl::net::Client> connect_to(std::string_view endpoint,
   }
   psl::net::ClientOptions options;
   options.max_frame_bytes = max_frame;
-  return g_client_udp ? psl::net::Client::connect_udp(address, port, options)
-                      : psl::net::Client::connect(address, port, options);
+  return psl::net::Client::connect(address, port, options);
 }
 
 int cmd_query(std::string_view endpoint, std::vector<std::string> hosts,
@@ -394,7 +388,6 @@ struct ServeConfig {
   std::size_t queue_depth = 64;
   std::size_t max_frame = psl::net::kDefaultMaxFrameBytes;
   std::size_t shards = 1;
-  bool udp = false;
   bool analytics = false;
 };
 
@@ -441,7 +434,6 @@ int shard_main(const ServeConfig& cfg, std::size_t shard_index,
   options.max_connections = cfg.max_conns;
   options.max_frame_bytes = cfg.max_frame;
   options.reuse_port = true;
-  options.enable_udp = cfg.udp;
   options.metrics = &metrics;
   psl::net::Server server(engine, options);
   auto started = server.start();
@@ -575,11 +567,10 @@ int cmd_serve_sharded(ServeConfig cfg) {
     }
   }
 
-  std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu shards%s%s\n",
+  std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu shards%s\n",
               static_cast<unsigned long long>(boot.generation),
               static_cast<unsigned long long>(boot.rule_count), cfg.address.c_str(),
-              cfg.port, cfg.shards, cfg.udp ? " [udp]" : "",
-              cfg.analytics ? " [analytics]" : "");
+              cfg.port, cfg.shards, cfg.analytics ? " [analytics]" : "");
   std::fflush(stdout);
 
   std::uint64_t generation = boot.generation;
@@ -724,7 +715,6 @@ int cmd_serve(const ServeConfig& cfg) {
   options.port = cfg.port;
   options.max_connections = cfg.max_conns;
   options.max_frame_bytes = cfg.max_frame;
-  options.enable_udp = cfg.udp;
   options.metrics = &metrics;
   psl::net::Server server(*engine, options);
   auto started = server.start();
@@ -733,12 +723,11 @@ int cmd_serve(const ServeConfig& cfg) {
     return 1;
   }
 
-  std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu workers%s%s%s\n",
+  std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu workers%s%s\n",
               static_cast<unsigned long long>(engine->generation()),
               static_cast<unsigned long long>(engine->metadata().rule_count),
               cfg.address.c_str(), *started, engine->worker_count(),
-              cfg.store_path.empty() ? "" : " [store]",
-              cfg.udp ? " [udp]" : "", cfg.analytics ? " [analytics]" : "");
+              cfg.store_path.empty() ? "" : " [store]", cfg.analytics ? " [analytics]" : "");
   std::fflush(stdout);
 
   for (;;) {
@@ -799,18 +788,6 @@ int main(int argc, char** argv) {
     args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
   }
-  // --udp is meaningful in both modes: it enables the datagram socket when
-  // serving and switches the client subcommands to the datagram fast path.
-  bool udp = false;
-  for (std::size_t i = 0; i < args.size();) {
-    if (args[i] != "--udp") {
-      ++i;
-      continue;
-    }
-    udp = true;
-    args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-  g_client_udp = udp;
   if (args.empty()) return usage();
 
   if (args[0] == "compile") {
@@ -854,7 +831,6 @@ int main(int argc, char** argv) {
   std::string listen;
   ServeConfig cfg;
   cfg.max_frame = max_frame;
-  cfg.udp = udp;
   for (std::size_t i = 0; i < args.size(); ++i) {
     auto value = [&](const char* flag) -> const std::string* {
       if (i + 1 >= args.size()) {

@@ -165,15 +165,6 @@ typedef struct pslh_client pslh_client_t;
  * Returns NULL on failure. Free with pslh_client_free (closes the socket). */
 pslh_client_t* pslh_client_connect(const char* address, unsigned short port, int timeout_ms);
 
-/* Connect in UDP datagram mode (psld --udp): one request frame per
- * datagram, answered in one round trip with no connection state. Only
- * ping / registrable_domains / same_site / stats work; subscription,
- * reload, analytics and time-travel calls return PSLH_ERROR (the daemon
- * answers them "udp.unsupported"). UDP is lossy: a dropped datagram
- * surfaces as PSLH_ERROR after timeout_ms — retry or fall back to TCP.
- * Requests and responses are bounded to ~60 KiB per datagram. */
-pslh_client_t* pslh_client_connect_udp(const char* address, unsigned short port, int timeout_ms);
-
 void pslh_client_free(pslh_client_t* client);
 
 /* 1 while the connection is usable, 0 after an error closed it. */

@@ -60,20 +60,6 @@ class Client {
   static util::Result<Client> connect(const std::string& address, std::uint16_t port,
                                       ClientOptions options = {});
 
-  /// Datagram mode: one PSLN frame per UDP datagram, one datagram per
-  /// response — the psld fast path for callers that cannot amortize a TCP
-  /// batch. Supported operations: ping, match_batch / registrable_domains,
-  /// same_site_batch, stats; everything else answers net.unsupported
-  /// ("udp.unsupported"). Requests and responses are bounded by
-  /// kUdpMaxDatagramBytes (net.oversize client-side, "udp.oversize" from the
-  /// server). UDP is lossy by contract: a dropped datagram surfaces as
-  /// net.timeout after io_timeout_ms — the caller retries or falls back to
-  /// TCP. No push channel.
-  static util::Result<Client> connect_udp(const std::string& address, std::uint16_t port,
-                                          ClientOptions options = {});
-
-  bool udp() const noexcept { return udp_; }
-
   Client(Client&& other) noexcept;
   Client& operator=(Client&& other) noexcept;
   ~Client();
@@ -164,10 +150,6 @@ class Client {
   /// above (so a kFrame result always has status kOk).
   util::Result<bool> round_trip(FrameType type, std::span<const std::uint8_t> payload,
                                 Frame& out);
-  /// Datagram round trip: one send(), then recv datagrams until one carries
-  /// our id (stale responses from timed-out earlier requests are skipped).
-  util::Result<bool> round_trip_udp(FrameType type, std::span<const std::uint8_t> payload,
-                                    Frame& out);
   util::Result<bool> send_all(std::span<const std::uint8_t> bytes);
   /// Record one generation_changed frame (updates last_pushed_generation,
   /// fires the callback). net.protocol + close on a malformed push body.
@@ -183,7 +165,6 @@ class Client {
 
   std::string address_;  ///< dial target, kept for reconnect()
   std::uint16_t port_ = 0;
-  bool udp_ = false;
   bool subscribed_ = false;
   std::uint64_t pushed_generation_ = 0;
   PushCallback push_callback_;

@@ -136,10 +136,6 @@ inline constexpr std::uint8_t kProtocolVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 16;
 inline constexpr std::size_t kDefaultMaxFrameBytes = 1u << 20;
 inline constexpr std::uint8_t kResponseBit = 0x80;
-/// One UDP datagram carries at most one PSLN frame of this many bytes, both
-/// directions (header included) — comfortably under the 64 KiB UDP payload
-/// ceiling. See ServerOptions::enable_udp for the fast-path contract.
-inline constexpr std::size_t kUdpMaxDatagramBytes = 60 * 1024;
 
 /// The single source of truth for PSLN frame types. Server, client, psld
 /// and psltool all speak through this enum (and the typed begin_frame /

@@ -10,16 +10,16 @@
 //     hostnames) and cheap next to a thread hand-off, so the loop pins the
 //     engine State once per frame (Engine::run_inline) and encodes the
 //     answer straight into the connection's write buffer: no request copy,
-//     no queue, no wake-up. A TCP frame and a UDP datagram go through the
-//     same encoder.
+//     no queue, no wake-up.
 //   * Frames of unbounded cost — match_at and divergence (store time
 //     travel), ingest_batch and census_query (analytics) — are handed to the
-//     engine's worker pool via Engine::submit_job; the worker builds the
-//     complete response frame off to the side and a self-pipe wakes the loop
-//     to flush it, so a slow job never blocks accepting, reading, or other
-//     connections' responses. Responses carry the request id: a hot frame's
-//     answer can overtake a queued frame sent before it on the same
-//     connection.
+//     engine's worker pool via Engine::submit_job, all four through one
+//     path (submit_queued) that differs only in its per-type encoder; the
+//     worker builds the complete response frame off to the side and a
+//     self-pipe wakes the loop to flush it, so a slow job never blocks
+//     accepting, reading, or other connections' responses. Responses carry
+//     the request id: a hot frame's answer can overtake a queued frame sent
+//     before it on the same connection.
 //
 // Contracts worth naming:
 //
@@ -78,6 +78,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -92,13 +93,6 @@
 
 namespace psl::net {
 
-// UDP frames are bounded by kUdpMaxDatagramBytes (frame.hpp), both
-// directions. A response that would exceed the bound is replaced by a
-// kUnsupported status frame with detail "udp.oversize" (the request WAS
-// valid — the caller must shrink its batch); an oversized or truncated
-// request datagram is dropped outright, since a datagram, unlike a stream,
-// cannot be resynchronized or answered reliably once mangled.
-
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";  ///< IPv4 dotted quad
   std::uint16_t port = 0;                  ///< 0 = ephemeral; see Server::port()
@@ -108,16 +102,10 @@ struct ServerOptions {
   int read_timeout_ms = 10000;   ///< a started frame must complete this fast
   int write_stall_timeout_ms = 10000;  ///< pending output must make progress this fast
   int drain_timeout_ms = 5000;   ///< graceful-shutdown bound before force-close
-  /// SO_REUSEPORT on the listener (and the UDP socket): N processes bind
-  /// the same port and the kernel load-balances connections across them —
-  /// the psld --shards fan-out. Every process on the port must set it.
+  /// SO_REUSEPORT on the listener: N processes bind the same port and the
+  /// kernel load-balances connections across them — the psld --shards
+  /// fan-out. Every process on the port must set it.
   bool reuse_port = false;
-  /// Serve the UDP fast path on the same port: one request frame per
-  /// datagram, answered on the loop thread like a TCP hot frame — for
-  /// clients that cannot amortize a TCP batch. Supported request types:
-  /// ping, same_site_batch, match_batch, stats; everything else answers
-  /// kUnsupported with detail "udp.unsupported". See kUdpMaxDatagramBytes.
-  bool enable_udp = false;
   obs::MetricsRegistry* metrics = nullptr;  ///< optional; null = uninstrumented
 };
 
@@ -149,22 +137,46 @@ class Server {
 
   void loop();
   void handle_accept();
-  void handle_udp();
-  void dispatch_udp_frame(const FrameHeader& header, std::span<const std::uint8_t> payload);
   bool handle_readable(Connection& conn);
   // Answer the decoder's whole frames while the write buffer is under its
   // bound, and flush; false = close the connection.
   bool serve_buffered(Connection& conn);
   bool flush_writes(Connection& conn);
   void dispatch_frame(Connection& conn, const Frame& frame);
-  // The hot frames' one encoder (TCP and UDP): answers the request already
-  // parsed into host_scratch_ (match) or pair_scratch_ (same_site).
+  // The hot frames' one encoder: answers the request already parsed into
+  // host_scratch_ (match) or pair_scratch_ (same_site).
   void append_hot_response(std::vector<std::uint8_t>& out, FrameType type, std::uint32_t id);
   void respond_status(Connection& conn, FrameType type, std::uint32_t id, Status status,
                       std::string_view detail);
+  void respond_malformed(Connection& conn, FrameType type, std::uint32_t id,
+                         std::string_view detail);  // counts net.reject.malformed
   void append_stats_response(std::vector<std::uint8_t>& out, std::uint32_t id);
-  void finish_submit(Connection& conn, serve::Engine::Enqueue enq, FrameType type,
-                     std::uint32_t id);
+
+  // The queued frames' one path. A per-type encoder runs on an engine
+  // worker: it appends the OK body (everything after the status byte) for
+  // the copied request to `out` and returns {}, or returns the status and
+  // detail to answer instead.
+  struct Outcome {
+    Status status = Status::kOk;
+    std::string detail;
+  };
+  using QueuedEncoder = Outcome (Server::*)(const serve::Engine::Pinned& pinned,
+                                            std::span<const std::uint8_t> request,
+                                            std::vector<std::uint8_t>& out);
+  // Copy the payload, reserve an outstanding job, submit it and route its
+  // response back through complete(); a refused submit answers
+  // kBackpressure or kShuttingDown at once.
+  void submit_queued(Connection& conn, const Frame& frame,
+                     std::chrono::steady_clock::time_point t0, QueuedEncoder encode);
+  Outcome encode_match_at(const serve::Engine::Pinned& pinned,
+                          std::span<const std::uint8_t> request, std::vector<std::uint8_t>& out);
+  Outcome encode_divergence(const serve::Engine::Pinned& pinned,
+                            std::span<const std::uint8_t> request,
+                            std::vector<std::uint8_t>& out);
+  Outcome encode_ingest(const serve::Engine::Pinned& pinned, std::span<const std::uint8_t> request,
+                        std::vector<std::uint8_t>& out);
+  Outcome encode_census(const serve::Engine::Pinned& pinned, std::span<const std::uint8_t> request,
+                        std::vector<std::uint8_t>& out);
   void complete(Completion completion);  // engine workers -> loop thread
   void drain_completions();
   void broadcast_generation();  // pending push -> subscribed connections
@@ -184,7 +196,6 @@ class Server {
   std::uint16_t port_ = 0;
 
   int listen_fd_ = -1;
-  int udp_fd_ = -1;         // the UDP fast path (enable_udp), same port
   int wake_read_fd_ = -1;   // self-pipe: workers/shutdown wake the loop
   int wake_write_fd_ = -1;
   int epoll_fd_ = -1;       // level-triggered readiness for every fd above
@@ -239,10 +250,6 @@ class Server {
   std::vector<std::string_view> host_scratch_;
   std::vector<MatchView> view_scratch_;
   std::vector<WireIngestRecord> ingest_scratch_;
-  // UDP scratch (loop thread): the request datagram and the response under
-  // construction. Both reach high-water size once and are reused.
-  std::vector<std::uint8_t> udp_in_;
-  std::vector<std::uint8_t> udp_out_;
 
   // census_query answers served over this server's lifetime (the stats
   // frame reports it even without a metrics registry).
@@ -262,8 +269,6 @@ class Server {
   obs::Counter* timeout_write_stall_ = nullptr;
   obs::Counter* frame_errors_ = nullptr;
   obs::Counter* push_sent_ = nullptr;
-  obs::Counter* udp_datagrams_ = nullptr;
-  obs::Counter* udp_dropped_ = nullptr;
   obs::Histogram* latency_ping_ = nullptr;
   obs::Histogram* latency_same_site_ = nullptr;
   obs::Histogram* latency_match_ = nullptr;

@@ -20,8 +20,6 @@
 //   bool descend(std::string_view label, std::uint32_t hash)
 //       move to the child for `label` (hash = fnv1a_reverse of the label);
 //       false when no deeper rule shares this path — the walk stops probing.
-//       A cursor that cannot cheaply detect dead paths (FlatMatcher) may
-//       keep returning true; results are identical, only work differs.
 //   bool has_wildcard() / Section wildcard_section()
 //       wildcard rule stored on the CURRENT node (queried before descend —
 //       "*.ck" covers whatever label comes next).

@@ -19,25 +19,26 @@
 //     relaxed RMW, which TSan — and a strict reading of the memory model —
 //     flags as a race against the next store; the mutex is the verifiable
 //     choice and costs a few ns per *batch*, not per query.)
-//   * Swap visibility is batch-granular: a batched job resolves the State
-//     exactly once, when a worker picks it up (submit_job) or when
-//     run_inline is called, so every answer inside one batch comes from the
-//     same list version. The single-query convenience calls resolve per
-//     call.
+//   * Swap visibility is batch-granular: a job resolves the State exactly
+//     once, when a worker picks it up (submit_job) or when run_inline is
+//     called, so every answer inside one batch comes from the same list
+//     version.
 //   * Keep-last-good reloads. reload_snapshot()/reload_file() validate the
 //     candidate bytes first (psl::snapshot's loader) and only swap on
 //     success; any failure leaves the serving state untouched and returns
 //     the loader's error.
-//   * Two ways to run a batch, one pinned view. run_inline() runs a job on
-//     the calling thread, right now: the path for bounded work that must not
-//     pay a thread hand-off (psl::net::Server answers match and same_site
-//     frames this way on its event-loop thread). submit_job() queues a job
-//     for a fixed worker pool behind a queue capped at max_queue_depth: the
-//     path for work of unbounded cost (store time travel, census ingest and
-//     queries). A submit against a full queue is REJECTED immediately
-//     ("serve.backpressure") rather than queued unboundedly — the caller
-//     decides whether to retry, shed, or block. Submits after shutdown
-//     return "serve.stopped".
+//   * Every query is a job over one pinned view, and there are two ways to
+//     run one. run_inline() runs a job on the calling thread, right now:
+//     the path for bounded work that must not pay a thread hand-off
+//     (psl::net::Server answers match and same_site frames this way on its
+//     event-loop thread). submit_job() queues a job for a fixed worker pool
+//     behind a queue capped at max_queue_depth: the path for work of
+//     unbounded cost (store time travel, census ingest and queries, the C
+//     API's engine batches). A submit against a full queue is REJECTED
+//     immediately (Enqueue::kBackpressure, counted in serve.rejected)
+//     rather than queued unboundedly — the caller decides whether to
+//     retry, shed, or block. Submits after shutdown return
+//     Enqueue::kStopped.
 //   * Registrable-domain caches, one per user thread. Each State carries one
 //     RegDomainCache per worker plus one for run_inline (strictly
 //     single-writer: worker i touches only caches[i], the run_inline caller
@@ -56,9 +57,9 @@
 //     histograms serve.batch_ms and psl.match.batch_size.
 //
 // Lifecycle: construct with an initial snapshot (compile a List or load a
-// psl::snapshot file), submit work, swap/reload at will from any thread.
-// The destructor stops intake, drains the queue (every accepted future is
-// fulfilled), and joins the workers.
+// psl::snapshot file), run or submit jobs, swap/reload at will from any
+// thread. The destructor stops intake, drains the queue (every accepted job
+// runs), and joins the workers.
 #pragma once
 
 #include <atomic>
@@ -66,7 +67,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -123,7 +123,7 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // --- generic batched jobs (the primitive the typed submits build on) ----
+  // --- jobs: the one way to query the engine ------------------------------
 
   /// Outcome of handing work to the bounded queue.
   enum class Enqueue { kOk, kBackpressure, kStopped };
@@ -131,15 +131,13 @@ class Engine {
   /// The serving state pinned for one batch: references stay valid for the
   /// duration of the job callback (the caller holds the State shared_ptr).
   ///
-  /// Pinned's helpers are the CANONICAL batch-lookup entrypoint — the one
-  /// implementation of the cached batch fast path. They consult the running
-  /// thread's registrable-domain cache first and fall through to the pinned
-  /// matcher's match_batch, so every front-end (psl::net::Server, the typed
-  /// submit_* wrappers below, the C API engine mirror) gets cache hits,
-  /// batched miss handling, and instrumentation from one place. New callers
-  /// run through run_inline or submit_job + these helpers; the submit_*
-  /// methods exist as owning-type conveniences and delegate here, never the
-  /// other way around (docs/API.md, "Batch lookups: which entrypoint").
+  /// Pinned's helpers are the one batch-lookup implementation: they consult
+  /// the running thread's registrable-domain cache first and fall through to
+  /// the pinned matcher's match_batch, so every front-end (psl::net::Server,
+  /// the C API engine mirror) gets cache hits, batched miss handling, and
+  /// instrumentation from one place. Every query runs as a job — run_inline
+  /// or submit_job — through these helpers (docs/API.md, "Batch lookups:
+  /// which entrypoint").
   struct Pinned {
     const CompiledMatcher& matcher;
     const snapshot::Metadata& meta;
@@ -199,31 +197,6 @@ class Engine {
 
   /// Add `n` to serve.queries on behalf of a submit_job/run_inline batch.
   void count_queries(std::size_t n) const noexcept;
-
-  // --- single queries (inline, no queue; resolve the State per call) -----
-
-  /// eTLD+1 of `host`, or "" when the host has none (it is itself a public
-  /// suffix, or is degenerate).
-  std::string registrable_domain(std::string_view host) const;
-  bool same_site(std::string_view a, std::string_view b) const;
-  Match match(std::string_view host) const;
-
-  // --- batched queries (worker pool; one State per batch) ----------------
-  //
-  // Thin delegating wrappers over the canonical Pinned helpers, for callers
-  // that want owning std::string/std::future types instead of wiring a
-  // submit_job callback: each submit_* pins one State, calls the matching
-  // Pinned helper, and copies views into owned results. No query logic
-  // lives here. On acceptance the future is always eventually fulfilled
-  // (shutdown drains the queue). Errors: "serve.backpressure" (queue full;
-  // counted in serve.rejected), "serve.stopped" (engine shutting down).
-
-  util::Result<std::future<std::vector<std::string>>> submit_registrable_domains(
-      std::vector<std::string> hosts);
-  /// Results are 0/1 flags, parallel to `pairs`.
-  util::Result<std::future<std::vector<std::uint8_t>>> submit_same_site(
-      std::vector<std::pair<std::string, std::string>> pairs);
-  util::Result<std::future<std::vector<Match>>> submit_match(std::vector<std::string> hosts);
 
   // --- hot reload --------------------------------------------------------
 

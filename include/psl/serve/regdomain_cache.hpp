@@ -19,10 +19,16 @@
 //     has none. The caller re-attaches the boundary to whatever buffer its
 //     current query string lives in — nothing in the cache points at freed
 //     memory, ever.
-//   * Keys are 64-bit FNV-1a hostname hashes; full hostnames are NOT stored.
-//     Two distinct hot hostnames colliding in 64 bits is a ~n²/2⁶⁴ event
-//     (≈ 10⁻¹² at a million distinct hosts), accepted by design — the same
-//     trade browsers make in their eTLD+1 caches.
+//   * Keys are a 64-bit keyed hash of the dot-stripped hostname plus its
+//     length; full hostnames are NOT stored. The hash is SipHash-1-3 under a
+//     128-bit key drawn from the kernel once per process, so nobody outside
+//     the process can evaluate it, and hence nobody can craft two hosts that
+//     collide (an unkeyed hash would let an attacker make two tenants
+//     same-site for every client). A hit also requires equal lengths, so an
+//     entry can only ever answer for a host of its own length: the cached
+//     boundary always fits the query. Two distinct hot hostnames of one
+//     length colliding by chance is a ~n²/2⁶⁵ event (≈ 10⁻¹² at a million
+//     distinct hosts), accepted by design.
 //   * No synchronization. Each cache instance has exactly one user thread
 //     (an Engine worker, or the thread that calls Engine::run_inline); the
 //     caches live in the immutable State, indexed by slot, so every
@@ -44,6 +50,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <new>
 #include <string_view>
 #include <utility>
@@ -83,24 +90,24 @@ class RegDomainCache {
   RegDomainCache(const RegDomainCache&) = delete;
   RegDomainCache& operator=(const RegDomainCache&) = delete;
 
-  /// FNV-1a 64-bit over the (already dot-stripped) hostname bytes.
-  static std::uint64_t hash_host(std::string_view host) noexcept {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const char c : host) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    // 0 marks an empty slot; remap the (astronomically unlikely) real 0.
-    return h == 0 ? 1 : h;
-  }
+  /// A host's cache key. `hash` is never 0 (0 marks an empty slot).
+  struct Key {
+    std::uint64_t hash = 0;
+    std::uint32_t len = 0;  ///< host length; kUncachable for hosts of 4 GiB or more
+  };
+  static constexpr std::uint32_t kUncachable = std::numeric_limits<std::uint32_t>::max();
+
+  /// Keyed SipHash-1-3 of the (already dot-stripped) hostname bytes, under
+  /// this process's secret key, plus the host's length.
+  static Key key_of(std::string_view host) noexcept;
 
   /// True on hit; `rd_len` receives the cached boundary (or kNoDomain).
-  bool lookup(std::uint64_t hash, std::uint32_t& rd_len) const noexcept {
-    if (!slots_) return false;
-    std::size_t idx = hash & mask_;
+  bool lookup(Key key, std::uint32_t& rd_len) const noexcept {
+    if (!slots_ || key.len == kUncachable) return false;
+    std::size_t idx = key.hash & mask_;
     for (std::size_t dist = 0; dist < kMaxProbe; ++dist) {
       const Slot& s = slots_[idx];
-      if (s.hash == hash) {
+      if (s.hash == key.hash && s.host_len == key.len) {
         rd_len = s.rd_len;
         return true;
       }
@@ -112,11 +119,11 @@ class RegDomainCache {
     return false;
   }
 
-  /// Insert (or overwrite) the boundary for `hash`. Returns true when a
+  /// Insert (or overwrite) the boundary for `key`. Returns true when a
   /// resident entry was dropped to make room (probe bound exceeded).
-  bool insert(std::uint64_t hash, std::uint32_t rd_len) noexcept {
-    if (!slots_) return false;
-    Slot incoming{hash, rd_len};
+  bool insert(Key key, std::uint32_t rd_len) noexcept {
+    if (!slots_ || key.len == kUncachable) return false;
+    Slot incoming{key.hash, rd_len, key.len};
     std::size_t idx = incoming.hash & mask_;
     std::size_t dist = 0;
     for (;;) {
@@ -126,7 +133,7 @@ class RegDomainCache {
         ++size_;
         return false;
       }
-      if (s.hash == incoming.hash) {
+      if (s.hash == incoming.hash && s.host_len == incoming.host_len) {
         s.rd_len = incoming.rd_len;
         return false;
       }
@@ -148,9 +155,11 @@ class RegDomainCache {
 
  private:
   struct Slot {
-    std::uint64_t hash = 0;  ///< 0 = empty (hash_host never returns 0)
+    std::uint64_t hash = 0;  ///< 0 = empty (key_of never returns 0)
     std::uint32_t rd_len = 0;
+    std::uint32_t host_len = 0;  ///< a hit needs the query's length too
   };
+  static_assert(sizeof(Slot) == 16, "the length rides in what was padding");
 
   std::size_t probe_distance(std::uint64_t hash, std::size_t idx) const noexcept {
     return (idx - (hash & mask_)) & mask_;

@@ -13,8 +13,8 @@
 # psltool-generated corpus replayed into the census, aggregates read back
 # over the wire, and a SIGHUP hot swap starting a fresh census for the new
 # generation while ingest keeps flowing. A fourth act covers the sharded
-# deployment: psld --shards 3 --udp on one SO_REUSEPORT port, queries over
-# TCP and the UDP fast path, a SIGHUP flipping every shard to the same latch
+# deployment: psld --shards 2 on one SO_REUSEPORT port, queries over TCP,
+# a SIGHUP flipping every shard to the same latch
 # generation, one shard SIGKILLed under live query load (service keeps
 # answering; the parent respawns it and the replacement adopts the latch
 # generation, not generation 1), and a clean fleet-wide drain.
@@ -324,14 +324,14 @@ ANALYTICS_PID=
 
 # ==========================================================================
 # Act 4: the sharded fleet. Two forked shards accept on one SO_REUSEPORT
-# port, each mapping the same snapshot file; the UDP fast path answers
-# beside TCP; one SIGHUP to the parent publishes a generation through the
+# port, each mapping the same snapshot file; one SIGHUP to the parent
+# publishes a generation through the
 # shared latch to every shard; a shard SIGKILLed under live query load is
 # respawned and adopts the latch generation (not generation 1); SIGTERM
 # drains the whole fleet to a clean exit 0.
 # ==========================================================================
 cp a.psnap live_shards.psnap
-"$PSLD" --listen 127.0.0.1:0 --snapshot live_shards.psnap --shards 2 --udp \
+"$PSLD" --listen 127.0.0.1:0 --snapshot live_shards.psnap --shards 2 \
   > psld_shards.log 2> psld_shards.err &
 SHARDS_PID=$!
 LOAD_PID=
@@ -343,7 +343,6 @@ for _ in $(seq 1 100); do
 done
 grep -q "serving generation 1 .* 2 shards" psld_shards.log \
   || fail "sharded daemon did not report the fleet banner"
-grep -q "\[udp\]" psld_shards.log || fail "sharded daemon did not report UDP mode"
 SHARD_PORT=$(bound_port psld_shards.log)
 [[ -n "$SHARD_PORT" ]] || fail "could not read the sharded daemon's bound port"
 SHARD_ADDR="127.0.0.1:$SHARD_PORT"
@@ -354,16 +353,11 @@ done
 [[ $(grep -c "shard [0-9]* serving generation 1" psld_shards.log) -eq 2 ]] \
   || fail "expected 2 shard banners: $(cat psld_shards.log)"
 
-# Both transports answer from the shared snapshot mapping.
+# The shards answer from the shared snapshot mapping.
 "$PSLD" ping "$SHARD_ADDR" | grep -qx "pong" || fail "sharded TCP ping"
 "$PSLD" query "$SHARD_ADDR" shop1.myshopify.com a.b.co.uk > qs1.txt
 grep -qx "shop1.myshopify.com myshopify.com" qs1.txt || fail "sharded TCP query: $(cat qs1.txt)"
 grep -qx "a.b.co.uk b.co.uk" qs1.txt || fail "sharded TCP co.uk query: $(cat qs1.txt)"
-"$PSLD" --udp ping "$SHARD_ADDR" | grep -qx "pong" || fail "UDP ping"
-"$PSLD" --udp query "$SHARD_ADDR" shop1.myshopify.com a.b.co.uk > qs2.txt
-grep -qx "shop1.myshopify.com myshopify.com" qs2.txt || fail "UDP query: $(cat qs2.txt)"
-grep -qx "a.b.co.uk b.co.uk" qs2.txt || fail "UDP co.uk query: $(cat qs2.txt)"
-"$PSLD" --udp stats "$SHARD_ADDR" | grep -q "generation 1, 4 rules" || fail "UDP stats"
 
 # One SIGHUP to the parent must flip EVERY shard to the same generation.
 cp b.psnap stage.psnap && mv stage.psnap live_shards.psnap
@@ -406,8 +400,6 @@ wait "$LOAD_PID" 2>/dev/null || true
 LOAD_PID=
 "$PSLD" query "$SHARD_ADDR" shop1.myshopify.com \
   | grep -qx "shop1.myshopify.com shop1.myshopify.com" || fail "service lost after shard respawn"
-"$PSLD" --udp stats "$SHARD_ADDR" | grep -q "generation 2, 5 rules" \
-  || fail "UDP stats after respawn"
 
 # SIGTERM drains the whole fleet; the parent exits 0 only after every shard.
 kill -TERM "$SHARDS_PID"

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <exception>
+#include <future>
+#include <memory>
 #include <new>
 #include <string>
 #include <string_view>
@@ -57,12 +60,36 @@ bool test_alloc_should_fail() {
   return false;
 }
 
-const char* dup_string(const std::string& s) {
+const char* dup_string(std::string_view s) {
   if (test_alloc_should_fail()) return nullptr;
   char* out = new (std::nothrow) char[s.size() + 1];
   if (out == nullptr) return nullptr;
-  std::memcpy(out, s.c_str(), s.size() + 1);
+  std::memcpy(out, s.data(), s.size());
+  out[s.size()] = '\0';
   return out;
+}
+
+/// Run `job` on one of the engine's workers and wait for it; rethrows what
+/// the job threw. A full queue is PSLH_BACKPRESSURE (nothing ran).
+template <typename Job>
+pslh_status run_on_worker(psl::serve::Engine& engine, const Job& job) {
+  // The promise rides inside the queued job, so it outlives the waiter's
+  // wake-up whatever the worker is still doing.
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  const auto outcome =
+      engine.submit_job([&job, done](const psl::serve::Engine::Pinned& pinned) {
+        try {
+          job(pinned);
+          done->set_value();
+        } catch (...) {
+          done->set_exception(std::current_exception());
+        }
+      });
+  if (outcome == psl::serve::Engine::Enqueue::kBackpressure) return PSLH_BACKPRESSURE;
+  if (outcome != psl::serve::Engine::Enqueue::kOk) return PSLH_ERROR;
+  finished.get();
+  return PSLH_OK;
 }
 
 }  // namespace
@@ -210,17 +237,20 @@ pslh_status pslh_engine_registrable_domains(pslh_engine_t* engine, const char* c
   for (size_t i = 0; i < count; ++i) out[i] = nullptr;
   if (engine == nullptr || hosts == nullptr) return PSLH_ERROR;
   try {
-    std::vector<std::string> batch;
+    std::vector<std::string_view> batch;
     batch.reserve(count);
     for (size_t i = 0; i < count; ++i) {
       if (hosts[i] == nullptr) return PSLH_ERROR;
       batch.emplace_back(hosts[i]);
     }
-    auto submitted = engine->engine.submit_registrable_domains(std::move(batch));
-    if (!submitted) {
-      return submitted.error().code == "serve.backpressure" ? PSLH_BACKPRESSURE : PSLH_ERROR;
-    }
-    const std::vector<std::string> answers = submitted->get();
+    // Views into the caller's strings: they outlive the (awaited) job.
+    std::vector<std::string_view> answers(count);
+    const pslh_status status =
+        run_on_worker(engine->engine, [&](const psl::serve::Engine::Pinned& pinned) {
+          pinned.registrable_domains(batch, answers);
+          engine->engine.count_queries(count);
+        });
+    if (status != PSLH_OK) return status;
     for (size_t i = 0; i < count; ++i) {
       if (answers[i].empty()) continue;  // no eTLD+1: out[i] stays NULL
       out[i] = dup_string(answers[i]);
@@ -249,19 +279,13 @@ pslh_status pslh_engine_same_site(pslh_engine_t* engine, const char* const* a,
   std::memset(out, 0, count * sizeof(int));
   if (engine == nullptr || a == nullptr || b == nullptr) return PSLH_ERROR;
   try {
-    std::vector<std::pair<std::string, std::string>> pairs;
-    pairs.reserve(count);
     for (size_t i = 0; i < count; ++i) {
       if (a[i] == nullptr || b[i] == nullptr) return PSLH_ERROR;
-      pairs.emplace_back(a[i], b[i]);
     }
-    auto submitted = engine->engine.submit_same_site(std::move(pairs));
-    if (!submitted) {
-      return submitted.error().code == "serve.backpressure" ? PSLH_BACKPRESSURE : PSLH_ERROR;
-    }
-    const std::vector<std::uint8_t> answers = submitted->get();
-    for (size_t i = 0; i < count; ++i) out[i] = answers[i] ? 1 : 0;
-    return PSLH_OK;
+    return run_on_worker(engine->engine, [&](const psl::serve::Engine::Pinned& pinned) {
+      for (size_t i = 0; i < count; ++i) out[i] = pinned.same_site(a[i], b[i]) ? 1 : 0;
+      engine->engine.count_queries(count);
+    });
   } catch (...) {
     return PSLH_ERROR;
   }
@@ -276,21 +300,6 @@ pslh_client_t* pslh_client_connect(const char* address, unsigned short port, int
     options.connect_timeout_ms = timeout_ms > 0 ? timeout_ms : 10000;
     options.io_timeout_ms = timeout_ms > 0 ? timeout_ms : 10000;
     auto connected = psl::net::Client::connect(address, port, options);
-    if (!connected) return nullptr;
-    return new (std::nothrow) pslh_client{*std::move(connected)};
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-pslh_client_t* pslh_client_connect_udp(const char* address, unsigned short port,
-                                       int timeout_ms) {
-  if (address == nullptr) return nullptr;
-  try {
-    psl::net::ClientOptions options;
-    options.connect_timeout_ms = timeout_ms > 0 ? timeout_ms : 10000;
-    options.io_timeout_ms = timeout_ms > 0 ? timeout_ms : 10000;
-    auto connected = psl::net::Client::connect_udp(address, port, options);
     if (!connected) return nullptr;
     return new (std::nothrow) pslh_client{*std::move(connected)};
   } catch (...) {

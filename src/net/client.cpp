@@ -65,7 +65,6 @@ Client::Client(Client&& other) noexcept
       recv_scratch_(std::move(other.recv_scratch_)),
       address_(std::move(other.address_)),
       port_(other.port_),
-      udp_(other.udp_),
       subscribed_(other.subscribed_),
       pushed_generation_(other.pushed_generation_),
       push_callback_(std::move(other.push_callback_)) {
@@ -84,7 +83,6 @@ Client& Client::operator=(Client&& other) noexcept {
     recv_scratch_ = std::move(other.recv_scratch_);
     address_ = std::move(other.address_);
     port_ = other.port_;
-    udp_ = other.udp_;
     subscribed_ = other.subscribed_;
     pushed_generation_ = other.pushed_generation_;
     push_callback_ = std::move(other.push_callback_);
@@ -149,32 +147,6 @@ util::Result<Client> Client::connect(const std::string& address, std::uint16_t p
   return client;
 }
 
-util::Result<Client> Client::connect_udp(const std::string& address, std::uint16_t port,
-                                         ClientOptions options) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) != 1) {
-    return util::make_error("net.io", "bad IPv4 address: " + address);
-  }
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) return util::make_error("net.io", errno_text("socket"));
-  // connect() on a datagram socket just pins the peer: send()/recv() work,
-  // and datagrams from anyone else are filtered by the kernel.
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const auto err = util::make_error("net.io", errno_text("connect"));
-    ::close(fd);
-    return err;
-  }
-  set_timeout(fd, SO_RCVTIMEO, options.io_timeout_ms);
-  set_timeout(fd, SO_SNDTIMEO, options.io_timeout_ms);
-  Client client(fd, options);
-  client.address_ = address;
-  client.port_ = port;
-  client.udp_ = true;
-  return client;
-}
-
 util::Result<bool> Client::send_all(std::span<const std::uint8_t> bytes) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
@@ -195,7 +167,6 @@ util::Result<bool> Client::send_all(std::span<const std::uint8_t> bytes) {
 util::Result<bool> Client::round_trip(FrameType type, std::span<const std::uint8_t> payload,
                                       Frame& out) {
   if (fd_ < 0) return util::make_error("net.closed", "client is not connected");
-  if (udp_) return round_trip_udp(type, payload, out);
   if (payload.size() > options_.max_frame_bytes) {
     return util::make_error("net.oversize", "request payload exceeds max_frame_bytes");
   }
@@ -255,71 +226,6 @@ util::Result<bool> Client::round_trip(FrameType type, std::span<const std::uint8
     }
     close();
     return util::make_error("net.io", errno_text("recv"));
-  }
-}
-
-util::Result<bool> Client::round_trip_udp(FrameType type, std::span<const std::uint8_t> payload,
-                                          Frame& out) {
-  if (payload.size() + kHeaderBytes > kUdpMaxDatagramBytes) {
-    return util::make_error("net.oversize", "request exceeds the UDP datagram bound");
-  }
-  const std::uint32_t id = next_id_++;
-  send_buf_.clear();
-  encode_frame(send_buf_, type, id, payload);
-  // One datagram out; partial sends cannot happen on SOCK_DGRAM.
-  for (;;) {
-    const ssize_t n = ::send(fd_, send_buf_.data(), send_buf_.size(), MSG_NOSIGNAL);
-    if (n >= 0) break;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return util::make_error("net.timeout", "send timed out");
-    }
-    return util::make_error("net.io", errno_text("send"));
-  }
-
-  // Datagrams for requests that already timed out may still be in flight;
-  // skip anything that is not OUR response instead of treating it as a
-  // protocol violation (reordering is legal under UDP).
-  for (;;) {
-    const ssize_t n = ::recv(fd_, recv_scratch_.data(), recv_scratch_.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return util::make_error("net.timeout",
-                                "response timed out (UDP is lossy: retry or use TCP)");
-      }
-      return util::make_error("net.io", errno_text("recv"));
-    }
-    if (static_cast<std::size_t>(n) < kHeaderBytes) continue;
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, recv_scratch_.data(), 4);
-    FrameHeader header;
-    header.version = recv_scratch_[4];
-    header.type = recv_scratch_[5];
-    std::memcpy(&header.flags, recv_scratch_.data() + 6, 2);
-    std::memcpy(&header.id, recv_scratch_.data() + 8, 4);
-    std::memcpy(&header.payload_len, recv_scratch_.data() + 12, 4);
-    if (magic != kMagic || header.version != kProtocolVersion || header.flags != 0 ||
-        static_cast<std::size_t>(n) != kHeaderBytes + header.payload_len) {
-      continue;  // mangled datagram: drop, keep waiting for ours
-    }
-    if (header.id != id) continue;  // stale response to an abandoned request
-    if (header.type != response_type(type)) {
-      return util::make_error("net.protocol", "response type mismatch");
-    }
-    out.header = header;
-    out.payload = {recv_scratch_.data() + kHeaderBytes, header.payload_len};
-    WireReader reader(out.payload);
-    std::uint8_t status = 0;
-    if (!reader.u8(status)) {
-      return util::make_error("net.protocol", "response payload missing status byte");
-    }
-    if (static_cast<Status>(status) != Status::kOk) {
-      std::string_view detail;
-      reader.str16(detail);  // optional; empty when absent
-      return status_error(static_cast<Status>(status), detail);
-    }
-    return true;
   }
 }
 
@@ -532,7 +438,6 @@ util::Result<std::uint64_t> Client::subscribe() {
 
 util::Result<std::size_t> Client::poll_pushes() {
   if (fd_ < 0) return util::make_error("net.closed", "client is not connected");
-  if (udp_) return util::make_error("net.unsupported", "udp.no-push-channel");
   std::size_t received = 0;
   for (;;) {
     Frame frame;
@@ -574,7 +479,7 @@ util::Result<bool> Client::reconnect() {
     return util::make_error("net.io", "client has no dial target (not created via connect())");
   }
   close();
-  auto fresh = udp_ ? connect_udp(address_, port_, options_) : connect(address_, port_, options_);
+  auto fresh = connect(address_, port_, options_);
   if (!fresh.ok()) return fresh.error();
   // Adopt the new socket but keep this client's identity (callback, options,
   // subscription intent). The decoder restarts clean — the old stream died

@@ -58,6 +58,16 @@ void put_match_entries(std::vector<std::uint8_t>& out, std::span<const MatchView
   }
 }
 
+/// The one encoder of status/detail responses: every answer that is not
+/// kOk, from the loop thread and from the workers alike.
+void append_status(std::vector<std::uint8_t>& out, FrameType type, std::uint32_t id,
+                   Status status, std::string_view detail) {
+  const std::size_t frame_begin = begin_response_frame(out, type, id);
+  put_u8(out, static_cast<std::uint8_t>(status));
+  put_str16(out, detail.substr(0, 512));
+  end_frame(out, frame_begin);
+}
+
 }  // namespace
 
 // --- connection + completion state ------------------------------------------
@@ -117,8 +127,6 @@ Server::Server(serve::Engine& engine, ServerOptions options)
     timeout_write_stall_ = &m.counter("net.timeout.write_stall");
     frame_errors_ = &m.counter("net.frame_errors");
     push_sent_ = &m.counter("net.push.sent");
-    udp_datagrams_ = &m.counter("net.udp.datagrams");
-    udp_dropped_ = &m.counter("net.udp.dropped");
     latency_ping_ = &m.histogram("net.request_ms.ping");
     latency_same_site_ = &m.histogram("net.request_ms.same_site");
     latency_match_ = &m.histogram("net.request_ms.match");
@@ -182,38 +190,11 @@ util::Result<std::uint16_t> Server::start() {
   }
   port_ = ntohs(bound.sin_port);
 
-  if (options_.enable_udp) {
-    udp_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (udp_fd_ < 0) {
-      const auto err = util::make_error("net.listen", errno_text("socket(udp)"));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return err;
-    }
-    if (options_.reuse_port) ::setsockopt(udp_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
-    sockaddr_in udp_addr = addr;
-    udp_addr.sin_port = htons(port_);  // the TCP-resolved port, even when 0 was asked
-    if (::bind(udp_fd_, reinterpret_cast<sockaddr*>(&udp_addr), sizeof udp_addr) != 0 ||
-        !set_nonblocking(udp_fd_)) {
-      const auto err = util::make_error("net.listen", errno_text("bind(udp)"));
-      ::close(udp_fd_);
-      udp_fd_ = -1;
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return err;
-    }
-    udp_in_.resize(std::min(options_.max_frame_bytes + kHeaderBytes, kUdpMaxDatagramBytes));
-  }
-
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {
     const auto err = util::make_error("net.listen", errno_text("pipe"));
     ::close(listen_fd_);
     listen_fd_ = -1;
-    if (udp_fd_ >= 0) {
-      ::close(udp_fd_);
-      udp_fd_ = -1;
-    }
     return err;
   }
   wake_read_fd_ = pipe_fds[0];
@@ -224,7 +205,7 @@ util::Result<std::uint16_t> Server::start() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) {
     const auto err = util::make_error("net.listen", errno_text("epoll_create1"));
-    for (int* fd : {&wake_read_fd_, &wake_write_fd_, &listen_fd_, &udp_fd_}) {
+    for (int* fd : {&wake_read_fd_, &wake_write_fd_, &listen_fd_}) {
       if (*fd >= 0) ::close(*fd);
       *fd = -1;
     }
@@ -232,7 +213,6 @@ util::Result<std::uint16_t> Server::start() {
   }
   watch(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, true, false);
   watch(epoll_fd_, EPOLL_CTL_ADD, wake_read_fd_, true, false);
-  if (udp_fd_ >= 0) watch(epoll_fd_, EPOLL_CTL_ADD, udp_fd_, true, false);
 
   read_scratch_.resize(64 * 1024);
   stop_requested_.store(false, std::memory_order_release);
@@ -292,10 +272,6 @@ void Server::shutdown() {
   wake_read_fd_ = -1;
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (udp_fd_ >= 0) {
-    ::close(udp_fd_);
-    udp_fd_ = -1;
-  }
   ::close(epoll_fd_);
   epoll_fd_ = -1;
   running_.store(false, std::memory_order_release);
@@ -338,7 +314,6 @@ void Server::loop() {
       draining = true;
       drain_deadline = now + std::chrono::milliseconds(options_.drain_timeout_ms);
       unwatch(epoll_fd_, listen_fd_);
-      if (udp_fd_ >= 0) unwatch(epoll_fd_, udp_fd_);
       for (auto& [id, conn] : connections_) {
         conn->draining = true;
         update_read_interest(*conn);
@@ -438,10 +413,6 @@ void Server::loop() {
       if (fd == listen_fd_) {
         accept_ready = true;  // handled after existing connections, so a
         continue;             // just-closed fd cannot alias a fresh accept
-      }
-      if (udp_fd_ >= 0 && fd == udp_fd_) {
-        if (!draining) handle_udp();
-        continue;
       }
       auto it = fd_to_conn_.find(fd);
       if (it == fd_to_conn_.end()) continue;  // closed earlier this batch
@@ -661,11 +632,14 @@ void Server::update_read_interest(Connection& conn) {
 
 void Server::respond_status(Connection& conn, FrameType type, std::uint32_t id, Status status,
                             std::string_view detail) {
-  const std::size_t frame_begin = begin_response_frame(conn.out, type, id);
-  put_u8(conn.out, static_cast<std::uint8_t>(status));
-  put_str16(conn.out, detail.substr(0, 512));
-  end_frame(conn.out, frame_begin);
+  append_status(conn.out, type, id, status, detail);
   if (frames_out_) frames_out_->add();
+}
+
+void Server::respond_malformed(Connection& conn, FrameType type, std::uint32_t id,
+                               std::string_view detail) {
+  if (reject_malformed_) reject_malformed_->add();
+  respond_status(conn, type, id, Status::kMalformed, detail);
 }
 
 void Server::append_stats_response(std::vector<std::uint8_t>& out, std::uint32_t id) {
@@ -712,139 +686,6 @@ void Server::append_hot_response(std::vector<std::uint8_t>& out, FrameType type,
     }
     end_frame(out, frame_begin);
   });
-}
-
-// --- the UDP fast path ------------------------------------------------------
-//
-// One datagram = one PSLN frame, same header and payload layouts as TCP.
-// Requests are answered INLINE on the loop thread — no worker hop, no
-// completion queue — which is the whole point: a client that cannot amortize
-// a TCP batch (one lookup per event, e.g. a resolver plugin) gets an answer
-// in one socket round trip with no connection state on either side.
-// Datagram loss/reordering is the client's problem by UDP contract (the
-// request id echoes back for matching); oversized responses are replaced by
-// a kUnsupported("udp.oversize") status so the peer learns the bound rather
-// than silently missing a truncated reply.
-
-namespace {
-
-/// Decode the one frame a request datagram must contain: full header, exact
-/// payload length, nothing else. Datagrams that fail this are dropped —
-/// answering would require trusting the very bytes that failed validation.
-bool parse_udp_datagram(std::span<const std::uint8_t> bytes, FrameHeader& header,
-                        std::span<const std::uint8_t>& payload) {
-  if (bytes.size() < kHeaderBytes) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), 4);
-  if (magic != kMagic) return false;
-  header.version = bytes[4];
-  header.type = bytes[5];
-  std::memcpy(&header.flags, bytes.data() + 6, 2);
-  std::memcpy(&header.id, bytes.data() + 8, 4);
-  std::memcpy(&header.payload_len, bytes.data() + 12, 4);
-  if (header.version != kProtocolVersion || header.flags != 0) return false;
-  if (bytes.size() != kHeaderBytes + header.payload_len) return false;
-  payload = bytes.subspan(kHeaderBytes);
-  return true;
-}
-
-}  // namespace
-
-void Server::handle_udp() {
-  for (;;) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof peer;
-    const ssize_t n = ::recvfrom(udp_fd_, udp_in_.data(), udp_in_.size(), MSG_TRUNC,
-                                 reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN (drained) or transient error: next wake retries
-    }
-    if (udp_datagrams_) udp_datagrams_->add();
-    if (bytes_in_) bytes_in_->add(n);
-    if (static_cast<std::size_t>(n) > udp_in_.size()) {
-      // MSG_TRUNC reported the true size: the datagram exceeded the frame
-      // bound and was truncated — undecodable by construction.
-      if (udp_dropped_) udp_dropped_->add();
-      continue;
-    }
-    FrameHeader header;
-    std::span<const std::uint8_t> payload;
-    if (!parse_udp_datagram({udp_in_.data(), static_cast<std::size_t>(n)}, header, payload)) {
-      if (udp_dropped_) udp_dropped_->add();
-      continue;
-    }
-    if (frames_in_) frames_in_->add();
-    dispatch_udp_frame(header, payload);
-    if (udp_out_.empty()) continue;
-    const ssize_t sent = ::sendto(udp_fd_, udp_out_.data(), udp_out_.size(), 0,
-                                  reinterpret_cast<sockaddr*>(&peer), peer_len);
-    if (sent > 0) {
-      if (bytes_out_) bytes_out_->add(sent);
-      if (frames_out_) frames_out_->add();
-    } else if (udp_dropped_) {
-      udp_dropped_->add();  // full socket buffer: lossy by UDP contract
-    }
-  }
-}
-
-void Server::dispatch_udp_frame(const FrameHeader& header, std::span<const std::uint8_t> payload) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const FrameType type = static_cast<FrameType>(header.type);
-  const std::uint32_t id = header.id;
-  udp_out_.clear();
-
-  const auto respond_error = [&](Status status, std::string_view detail) {
-    udp_out_.clear();
-    const std::size_t frame_begin = begin_response_frame(udp_out_, type, id);
-    put_u8(udp_out_, static_cast<std::uint8_t>(status));
-    put_str16(udp_out_, detail);
-    end_frame(udp_out_, frame_begin);
-  };
-
-  switch (type) {
-    case FrameType::kPing: {
-      const std::size_t frame_begin = begin_response_frame(udp_out_, type, id);
-      put_u8(udp_out_, static_cast<std::uint8_t>(Status::kOk));
-      put_raw(udp_out_, payload);
-      end_frame(udp_out_, frame_begin);
-      break;
-    }
-
-    case FrameType::kStats:
-      append_stats_response(udp_out_, id);
-      break;
-
-    case FrameType::kMatchBatch:
-      if (!parse_match_request(payload, host_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_error(Status::kMalformed, "bad match_batch payload");
-        break;
-      }
-      append_hot_response(udp_out_, type, id);
-      break;
-
-    case FrameType::kSameSiteBatch:
-      if (!parse_same_site_request(payload, pair_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_error(Status::kMalformed, "bad same_site_batch payload");
-        break;
-      }
-      append_hot_response(udp_out_, type, id);
-      break;
-
-    // Stateful (subscribe), mutating (reload, ingest), or unboundedly large
-    // (census, divergence, match_at) request types stay TCP-only: they need
-    // a connection's ordering, bounded-buffer, and drain guarantees.
-    default:
-      respond_error(Status::kUnsupported, "udp.unsupported");
-      break;
-  }
-
-  if (udp_out_.size() > kUdpMaxDatagramBytes) {
-    respond_error(Status::kUnsupported, "udp.oversize");
-  }
-  observe_latency(type, t0);
 }
 
 void Server::observe_latency(FrameType request_type,
@@ -898,8 +739,7 @@ void Server::dispatch_frame(Connection& conn, const Frame& frame) {
 
     case FrameType::kSubscribe: {
       if (!frame.payload.empty()) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "subscribe payload must be empty");
+        respond_malformed(conn, type, id, "subscribe payload must be empty");
         return;
       }
       // Record what this peer now knows so the first push carries a
@@ -944,10 +784,9 @@ void Server::dispatch_frame(Connection& conn, const Frame& frame) {
                               ? parse_match_request(frame.payload, host_scratch_)
                               : parse_same_site_request(frame.payload, pair_scratch_);
       if (!parsed) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed,
-                       type == FrameType::kMatchBatch ? "bad match_batch payload"
-                                                      : "bad same_site_batch payload");
+        respond_malformed(conn, type, id,
+                          type == FrameType::kMatchBatch ? "bad match_batch payload"
+                                                         : "bad same_site_batch payload");
         return;
       }
       append_hot_response(conn.out, type, id);
@@ -957,238 +796,45 @@ void Server::dispatch_frame(Connection& conn, const Frame& frame) {
     }
 
     // The queued frames: work of unbounded cost (store time travel, census
-    // ingest and queries) runs on the engine's workers. Each validates its
-    // payload here (malformed requests answer immediately, so the worker-side
-    // re-parse can never fail), memcpys it ONCE into a pooled buffer, and
-    // hands that to the job; the worker encodes the complete response frame
-    // into another pooled buffer and returns it through complete(). Version
-    // resolution and materialization run ON THE WORKER (a cold version may
-    // decode delta chains — never on the loop thread), so store-level errors
-    // are encoded inside the job like any other response.
+    // ingest and queries) runs on the engine's workers through
+    // submit_queued(). Each payload is validated here first, so a malformed
+    // request answers at once and the worker-side re-parse cannot fail.
     case FrameType::kMatchAt: {
       std::int64_t date_days = 0;
       if (!parse_match_at_request(frame.payload, date_days, host_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad match_at payload");
+        respond_malformed(conn, type, id, "bad match_at payload");
         return;
       }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* engine = &engine_;
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, engine, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned&) mutable {
-            thread_local std::vector<std::string_view> hosts;
-            thread_local std::vector<MatchView> views;
-            std::int64_t days = 0;
-            parse_match_at_request(request, days, hosts);  // validated on the loop thread
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const auto respond_error = [&](Status status, std::string_view detail) {
-              const std::size_t frame_begin = begin_response_frame(buf, type, id);
-              put_u8(buf, static_cast<std::uint8_t>(status));
-              put_str16(buf, detail.substr(0, 512));
-              end_frame(buf, frame_begin);
-            };
-            if (days < INT32_MIN || days > INT32_MAX) {
-              respond_error(Status::kMalformed, "store.no-version");
-            } else {
-              const auto snap = engine->version_at(util::Date{static_cast<std::int32_t>(days)});
-              if (!snap.ok()) {
-                respond_error(snap.error().code == "store.none" ? Status::kUnsupported
-                                                                : Status::kMalformed,
-                              snap.error().code);
-              } else {
-                views.resize(hosts.size());
-                snap->matcher.match_batch(hosts, views);
-                const std::size_t frame_begin = begin_response_frame(buf, type, id);
-                put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-                put_u64(buf, static_cast<std::uint64_t>(static_cast<std::int64_t>(
-                                 snap->meta.source_date.days_since_epoch())));
-                put_u64(buf, snap->meta.rule_count);
-                put_u32(buf, static_cast<std::uint32_t>(hosts.size()));
-                put_match_entries(buf, views);
-                end_frame(buf, frame_begin);
-                engine->count_queries(hosts.size());
-              }
-            }
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
+      submit_queued(conn, frame, t0, &Server::encode_match_at);
       return;
     }
 
     case FrameType::kDivergence: {
       std::string_view host;
       if (!parse_divergence_request(frame.payload, host)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad divergence payload");
+        respond_malformed(conn, type, id, "bad divergence payload");
         return;
       }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* engine = &engine_;
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, engine, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned&) mutable {
-            std::string_view h;
-            parse_divergence_request(request, h);  // validated on the loop thread
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const auto ranges = engine->divergence(h);
-            if (!ranges.ok()) {
-              const std::size_t frame_begin = begin_response_frame(buf, type, id);
-              put_u8(buf, static_cast<std::uint8_t>(ranges.error().code == "store.none"
-                                                        ? Status::kUnsupported
-                                                        : Status::kMalformed));
-              put_str16(buf, std::string_view(ranges.error().code).substr(0, 512));
-              end_frame(buf, frame_begin);
-            } else {
-              const std::size_t frame_begin = begin_response_frame(buf, type, id);
-              put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-              put_u32(buf, static_cast<std::uint32_t>(ranges->size()));
-              for (const store::DivergenceRange& r : *ranges) {
-                put_u64(buf, static_cast<std::uint64_t>(
-                                 static_cast<std::int64_t>(r.first_date.days_since_epoch())));
-                put_u64(buf, static_cast<std::uint64_t>(
-                                 static_cast<std::int64_t>(r.last_date.days_since_epoch())));
-                put_str16(buf, r.registrable_domain);
-              }
-              end_frame(buf, frame_begin);
-              engine->count_queries(1);
-            }
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
+      submit_queued(conn, frame, t0, &Server::encode_divergence);
       return;
     }
 
     case FrameType::kIngestBatch: {
       if (!parse_ingest_request(frame.payload, ingest_scratch_)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad ingest_batch payload");
+        respond_malformed(conn, type, id, "bad ingest_batch payload");
         return;
       }
-      std::vector<std::uint8_t> request = acquire_buffer();
-      request.assign(frame.payload.begin(), frame.payload.end());
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, frames_out, conn_id, id, type, t0,
-           request = std::move(request)](const serve::Engine::Pinned& pinned) mutable {
-            thread_local std::vector<WireIngestRecord> records;
-            thread_local std::vector<analytics::CensusRecord> batch;
-            parse_ingest_request(request, records);  // validated on the loop thread
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const std::size_t frame_begin = begin_response_frame(buf, type, id);
-            if (!pinned.census) {
-              put_u8(buf, static_cast<std::uint8_t>(Status::kUnsupported));
-              put_str16(buf, "analytics.none");
-            } else {
-              batch.clear();
-              batch.reserve(records.size());
-              for (const WireIngestRecord& r : records) {
-                batch.push_back({r.page_host, r.resource_host, r.timestamp_ms});
-              }
-              // The whole batch lands in the pinned generation's census —
-              // that is the ack's generation, and the atomicity contract.
-              const analytics::IngestResult result =
-                  pinned.census->ingest(pinned.worker, pinned.matcher, batch);
-              if (analytics_ingest_records_) {
-                analytics_ingest_records_->add(static_cast<std::int64_t>(result.records));
-              }
-              if (analytics_ingest_dropped_ && result.dropped > 0) {
-                analytics_ingest_dropped_->add(static_cast<std::int64_t>(result.dropped));
-              }
-              if (analytics_hosts_gauge_) {
-                analytics_hosts_gauge_->set(static_cast<double>(pinned.census->unique_hosts()));
-                analytics_sites_gauge_->set(static_cast<double>(pinned.census->sites_formed()));
-                analytics_pairs_gauge_->set(static_cast<double>(pinned.census->reach_pairs()));
-              }
-              put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-              put_u64(buf, pinned.generation);
-              put_u32(buf, result.records);
-            }
-            end_frame(buf, frame_begin);
-            if (frames_out) frames_out->add();
-            release_buffer(std::move(request));
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
+      submit_queued(conn, frame, t0, &Server::encode_ingest);
       return;
     }
 
     case FrameType::kCensusQuery: {
       std::uint32_t top_k = 0;
       if (!parse_census_request(frame.payload, top_k)) {
-        if (reject_malformed_) reject_malformed_->add();
-        respond_status(conn, type, id, Status::kMalformed, "bad census_query payload");
+        respond_malformed(conn, type, id, "bad census_query payload");
         return;
       }
-      auto* frames_out = frames_out_;
-      const std::uint64_t conn_id = conn.id;
-      {
-        std::lock_guard<std::mutex> lock(completion_mutex_);
-        ++outstanding_jobs_;
-      }
-      const auto enq = engine_.submit_job(
-          [this, frames_out, conn_id, id, type, t0, top_k](const serve::Engine::Pinned& pinned) {
-            std::vector<std::uint8_t> buf = acquire_buffer();
-            const std::size_t frame_begin = begin_response_frame(buf, type, id);
-            if (!pinned.census) {
-              put_u8(buf, static_cast<std::uint8_t>(Status::kUnsupported));
-              put_str16(buf, "analytics.none");
-            } else {
-              analytics::CensusSnapshot snap = pinned.census->snapshot(top_k);
-              WireCensus wire;
-              wire.generation = pinned.generation;
-              wire.records = snap.records;
-              wire.first_party = snap.first_party;
-              wire.third_party = snap.third_party;
-              wire.unique_hosts = snap.unique_hosts;
-              wire.sites_formed = snap.sites_formed;
-              wire.misbound_hosts = snap.misbound_hosts;
-              wire.dropped = snap.dropped;
-              wire.first_timestamp_ms = snap.first_timestamp_ms;
-              wire.last_timestamp_ms = snap.last_timestamp_ms;
-              wire.state_bytes = snap.state_bytes;
-              wire.etlds.reserve(snap.etlds.size());
-              for (auto& row : snap.etlds) {
-                wire.etlds.push_back({std::move(row.etld), row.misbound});
-              }
-              wire.trackers.reserve(snap.trackers.size());
-              for (auto& row : snap.trackers) {
-                wire.trackers.push_back({std::move(row.domain), row.requests,
-                                         row.requests_err, row.reach, row.reach_err});
-              }
-              put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
-              put_census(buf, wire);
-              census_queries_total_.fetch_add(1, std::memory_order_relaxed);
-              if (analytics_census_queries_) analytics_census_queries_->add();
-            }
-            end_frame(buf, frame_begin);
-            if (frames_out) frames_out->add();
-            complete(Completion{conn_id, std::move(buf), type, t0});
-          });
-      finish_submit(conn, enq, type, id);
+      submit_queued(conn, frame, t0, &Server::encode_census);
       return;
     }
 
@@ -1200,8 +846,39 @@ void Server::dispatch_frame(Connection& conn, const Frame& frame) {
                  "unknown frame type " + std::to_string(frame.header.type));
 }
 
-void Server::finish_submit(Connection& conn, serve::Engine::Enqueue enq, FrameType type,
-                           std::uint32_t id) {
+// --- the queued frames: match_at, divergence, ingest_batch, census_query ----
+
+void Server::submit_queued(Connection& conn, const Frame& frame,
+                           std::chrono::steady_clock::time_point t0, QueuedEncoder encode) {
+  const FrameType type = static_cast<FrameType>(frame.header.type);
+  const std::uint32_t id = frame.header.id;
+  // The payload is copied ONCE, into a pooled buffer the job owns; the
+  // worker encodes the whole response frame into another pooled buffer and
+  // hands it back through complete().
+  std::vector<std::uint8_t> request = acquire_buffer();
+  request.assign(frame.payload.begin(), frame.payload.end());
+  const std::uint64_t conn_id = conn.id;
+  {
+    std::lock_guard<std::mutex> lock(completion_mutex_);
+    ++outstanding_jobs_;
+  }
+  const auto enq = engine_.submit_job(
+      [this, encode, conn_id, type, id, t0,
+       request = std::move(request)](const serve::Engine::Pinned& pinned) mutable {
+        std::vector<std::uint8_t> buf = acquire_buffer();
+        const std::size_t frame_begin = begin_response_frame(buf, type, id);
+        put_u8(buf, static_cast<std::uint8_t>(Status::kOk));
+        const Outcome outcome = (this->*encode)(pinned, request, buf);
+        if (outcome.status == Status::kOk) {
+          end_frame(buf, frame_begin);
+        } else {
+          buf.resize(frame_begin);
+          append_status(buf, type, id, outcome.status, outcome.detail);
+        }
+        if (frames_out_) frames_out_->add();
+        release_buffer(std::move(request));
+        complete(Completion{conn_id, std::move(buf), type, t0});
+      });
   switch (enq) {
     case serve::Engine::Enqueue::kOk:
       ++conn.inflight;
@@ -1218,6 +895,121 @@ void Server::finish_submit(Connection& conn, serve::Engine::Enqueue enq, FrameTy
   std::lock_guard<std::mutex> lock(completion_mutex_);
   --outstanding_jobs_;
   jobs_cv_.notify_all();
+}
+
+// Version resolution and materialization run here, on the worker (a cold
+// version may decode delta chains), so store-level errors are answers like
+// any other.
+Server::Outcome Server::encode_match_at(const serve::Engine::Pinned&,
+                                        std::span<const std::uint8_t> request,
+                                        std::vector<std::uint8_t>& out) {
+  thread_local std::vector<std::string_view> hosts;
+  thread_local std::vector<MatchView> views;
+  std::int64_t days = 0;
+  parse_match_at_request(request, days, hosts);  // validated on the loop thread
+  if (days < INT32_MIN || days > INT32_MAX) return {Status::kMalformed, "store.no-version"};
+  const auto snap = engine_.version_at(util::Date{static_cast<std::int32_t>(days)});
+  if (!snap.ok()) {
+    return {snap.error().code == "store.none" ? Status::kUnsupported : Status::kMalformed,
+            snap.error().code};
+  }
+  views.resize(hosts.size());
+  snap->matcher.match_batch(hosts, views);
+  put_u64(out, static_cast<std::uint64_t>(
+                   static_cast<std::int64_t>(snap->meta.source_date.days_since_epoch())));
+  put_u64(out, snap->meta.rule_count);
+  put_u32(out, static_cast<std::uint32_t>(hosts.size()));
+  put_match_entries(out, views);
+  engine_.count_queries(hosts.size());
+  return {};
+}
+
+Server::Outcome Server::encode_divergence(const serve::Engine::Pinned&,
+                                          std::span<const std::uint8_t> request,
+                                          std::vector<std::uint8_t>& out) {
+  std::string_view host;
+  parse_divergence_request(request, host);  // validated on the loop thread
+  const auto ranges = engine_.divergence(host);
+  if (!ranges.ok()) {
+    return {ranges.error().code == "store.none" ? Status::kUnsupported : Status::kMalformed,
+            ranges.error().code};
+  }
+  put_u32(out, static_cast<std::uint32_t>(ranges->size()));
+  for (const store::DivergenceRange& r : *ranges) {
+    put_u64(out, static_cast<std::uint64_t>(
+                     static_cast<std::int64_t>(r.first_date.days_since_epoch())));
+    put_u64(out, static_cast<std::uint64_t>(
+                     static_cast<std::int64_t>(r.last_date.days_since_epoch())));
+    put_str16(out, r.registrable_domain);
+  }
+  engine_.count_queries(1);
+  return {};
+}
+
+Server::Outcome Server::encode_ingest(const serve::Engine::Pinned& pinned,
+                                      std::span<const std::uint8_t> request,
+                                      std::vector<std::uint8_t>& out) {
+  if (!pinned.census) return {Status::kUnsupported, "analytics.none"};
+  thread_local std::vector<WireIngestRecord> records;
+  thread_local std::vector<analytics::CensusRecord> batch;
+  parse_ingest_request(request, records);  // validated on the loop thread
+  batch.clear();
+  batch.reserve(records.size());
+  for (const WireIngestRecord& r : records) {
+    batch.push_back({r.page_host, r.resource_host, r.timestamp_ms});
+  }
+  // The whole batch lands in the pinned generation's census — that is the
+  // ack's generation, and the atomicity contract.
+  const analytics::IngestResult result =
+      pinned.census->ingest(pinned.worker, pinned.matcher, batch);
+  if (analytics_ingest_records_) {
+    analytics_ingest_records_->add(static_cast<std::int64_t>(result.records));
+  }
+  if (analytics_ingest_dropped_ && result.dropped > 0) {
+    analytics_ingest_dropped_->add(static_cast<std::int64_t>(result.dropped));
+  }
+  if (analytics_hosts_gauge_) {
+    analytics_hosts_gauge_->set(static_cast<double>(pinned.census->unique_hosts()));
+    analytics_sites_gauge_->set(static_cast<double>(pinned.census->sites_formed()));
+    analytics_pairs_gauge_->set(static_cast<double>(pinned.census->reach_pairs()));
+  }
+  put_u64(out, pinned.generation);
+  put_u32(out, result.records);
+  return {};
+}
+
+Server::Outcome Server::encode_census(const serve::Engine::Pinned& pinned,
+                                      std::span<const std::uint8_t> request,
+                                      std::vector<std::uint8_t>& out) {
+  if (!pinned.census) return {Status::kUnsupported, "analytics.none"};
+  std::uint32_t top_k = 0;
+  parse_census_request(request, top_k);  // validated on the loop thread
+  analytics::CensusSnapshot snap = pinned.census->snapshot(top_k);
+  WireCensus wire;
+  wire.generation = pinned.generation;
+  wire.records = snap.records;
+  wire.first_party = snap.first_party;
+  wire.third_party = snap.third_party;
+  wire.unique_hosts = snap.unique_hosts;
+  wire.sites_formed = snap.sites_formed;
+  wire.misbound_hosts = snap.misbound_hosts;
+  wire.dropped = snap.dropped;
+  wire.first_timestamp_ms = snap.first_timestamp_ms;
+  wire.last_timestamp_ms = snap.last_timestamp_ms;
+  wire.state_bytes = snap.state_bytes;
+  wire.etlds.reserve(snap.etlds.size());
+  for (auto& row : snap.etlds) {
+    wire.etlds.push_back({std::move(row.etld), row.misbound});
+  }
+  wire.trackers.reserve(snap.trackers.size());
+  for (auto& row : snap.trackers) {
+    wire.trackers.push_back(
+        {std::move(row.domain), row.requests, row.requests_err, row.reach, row.reach_err});
+  }
+  put_census(out, wire);
+  census_queries_total_.fetch_add(1, std::memory_order_relaxed);
+  if (analytics_census_queries_) analytics_census_queries_->add();
+  return {};
 }
 
 // --- completions (worker -> loop handoff) -----------------------------------

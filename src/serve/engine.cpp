@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "psl/obs/span.hpp"
-#include "psl/psl/match.hpp"
 
 namespace psl::serve {
 
@@ -57,7 +56,7 @@ void Engine::worker_loop(std::size_t worker_index) {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       // Drain-on-shutdown: exit only once the queue is empty, so every
-      // accepted future gets fulfilled.
+      // accepted job runs.
       if (queue_.empty()) return;
       job = std::move(queue_.front());
       queue_.pop_front();
@@ -122,7 +121,8 @@ std::string_view strip_dot(std::string_view host) noexcept {
   return host;
 }
 
-/// Re-attach a cached boundary to the query's own buffer.
+/// Re-attach a cached boundary to the query's own buffer. A hit guarantees
+/// the entry was computed for a host of this length, so the suffix fits.
 std::string_view apply_boundary(std::string_view stripped, std::uint32_t rd_len) noexcept {
   return rd_len == RegDomainCache::kNoDomain ? std::string_view{}
                                              : stripped.substr(stripped.size() - rd_len);
@@ -133,14 +133,14 @@ std::string_view apply_boundary(std::string_view stripped, std::uint32_t rd_len)
 std::string_view Engine::Pinned::registrable_domain_view(std::string_view host) const noexcept {
   if (!cache) return matcher.match_view(host).registrable_domain;
   const std::string_view stripped = strip_dot(host);
-  const std::uint64_t h = RegDomainCache::hash_host(stripped);
+  const RegDomainCache::Key key = RegDomainCache::key_of(stripped);
   std::uint32_t rd_len = 0;
-  if (cache->lookup(h, rd_len)) {
+  if (cache->lookup(key, rd_len)) {
     if (engine && engine->cache_hits_) engine->cache_hits_->add();
     return apply_boundary(stripped, rd_len);
   }
   const MatchView m = matcher.match_view(host);
-  const bool evicted = cache->insert(h, encode_boundary(m.registrable_domain));
+  const bool evicted = cache->insert(key, encode_boundary(m.registrable_domain));
   if (engine) {
     if (engine->cache_misses_) engine->cache_misses_->add();
     if (evicted && engine->cache_evicts_) engine->cache_evicts_->add();
@@ -168,7 +168,7 @@ void Engine::Pinned::registrable_domains(std::span<const std::string_view> hosts
   // allocates nothing.
   thread_local std::vector<std::size_t> miss_index;
   thread_local std::vector<std::string_view> miss_hosts;
-  thread_local std::vector<std::uint64_t> miss_hashes;
+  thread_local std::vector<RegDomainCache::Key> miss_keys;
   thread_local std::vector<MatchView> miss_views;
 
   if (!cache) {
@@ -180,19 +180,19 @@ void Engine::Pinned::registrable_domains(std::span<const std::string_view> hosts
 
   miss_index.clear();
   miss_hosts.clear();
-  miss_hashes.clear();
+  miss_keys.clear();
   std::size_t hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::string_view stripped = strip_dot(hosts[i]);
-    const std::uint64_t h = RegDomainCache::hash_host(stripped);
+    const RegDomainCache::Key key = RegDomainCache::key_of(stripped);
     std::uint32_t rd_len = 0;
-    if (cache->lookup(h, rd_len)) {
+    if (cache->lookup(key, rd_len)) {
       out[i] = apply_boundary(stripped, rd_len);
       ++hits;
     } else {
       miss_index.push_back(i);
       miss_hosts.push_back(hosts[i]);
-      miss_hashes.push_back(h);
+      miss_keys.push_back(key);
     }
   }
 
@@ -203,7 +203,7 @@ void Engine::Pinned::registrable_domains(std::span<const std::string_view> hosts
     for (std::size_t j = 0; j < miss_index.size(); ++j) {
       const std::string_view rd = miss_views[j].registrable_domain;
       out[miss_index[j]] = rd;
-      if (cache->insert(miss_hashes[j], encode_boundary(rd))) ++evictions;
+      if (cache->insert(miss_keys[j], encode_boundary(rd))) ++evictions;
     }
   }
   if (engine) {
@@ -222,91 +222,6 @@ std::size_t Engine::Pinned::match_batch(std::span<const std::string_view> hosts,
     engine->batch_size_->observe(static_cast<double>(n));
   }
   return n;
-}
-
-namespace {
-
-/// Shared submit plumbing: wrap `work` in a packaged_task, hand it to
-/// submit_job, and map the enqueue outcome onto the Result contract.
-template <typename R, typename Work>
-util::Result<std::future<R>> submit_typed(Engine& engine, Work work) {
-  auto task = std::make_shared<std::packaged_task<R(const Engine::Pinned&)>>(std::move(work));
-  auto future = task->get_future();
-  switch (engine.submit_job([task](const Engine::Pinned& pinned) { (*task)(pinned); })) {
-    case Engine::Enqueue::kBackpressure:
-      return util::make_error("serve.backpressure", "batch queue is full");
-    case Engine::Enqueue::kStopped:
-      return util::make_error("serve.stopped", "engine is shutting down");
-    case Engine::Enqueue::kOk:
-      break;
-  }
-  return future;
-}
-
-}  // namespace
-
-// --- single queries ---------------------------------------------------------
-
-std::string Engine::registrable_domain(std::string_view host) const {
-  const auto state = current();
-  if (queries_) queries_->add();
-  return std::string(state->matcher.match_view(host).registrable_domain);
-}
-
-bool Engine::same_site(std::string_view a, std::string_view b) const {
-  const auto state = current();
-  if (queries_) queries_->add();
-  return psl::same_site(state->matcher, a, b);
-}
-
-Match Engine::match(std::string_view host) const {
-  const auto state = current();
-  if (queries_) queries_->add();
-  return state->matcher.match(host);
-}
-
-// --- batched queries ---------------------------------------------------------
-
-util::Result<std::future<std::vector<std::string>>> Engine::submit_registrable_domains(
-    std::vector<std::string> hosts) {
-  return submit_typed<std::vector<std::string>>(
-      *this, [this, hosts = std::move(hosts)](const Pinned& pinned) {
-        std::vector<std::string_view> views(hosts.begin(), hosts.end());
-        std::vector<std::string_view> domains(hosts.size());
-        pinned.registrable_domains(views, domains);  // cached fast path
-        std::vector<std::string> out(domains.begin(), domains.end());
-        count_queries(hosts.size());
-        return out;
-      });
-}
-
-util::Result<std::future<std::vector<std::uint8_t>>> Engine::submit_same_site(
-    std::vector<std::pair<std::string, std::string>> pairs) {
-  return submit_typed<std::vector<std::uint8_t>>(
-      *this, [this, pairs = std::move(pairs)](const Pinned& pinned) {
-        std::vector<std::uint8_t> out;
-        out.reserve(pairs.size());
-        for (const auto& [a, b] : pairs) {
-          out.push_back(pinned.same_site(a, b) ? 1 : 0);
-        }
-        count_queries(pairs.size());
-        return out;
-      });
-}
-
-util::Result<std::future<std::vector<Match>>> Engine::submit_match(
-    std::vector<std::string> hosts) {
-  return submit_typed<std::vector<Match>>(
-      *this, [this, hosts = std::move(hosts)](const Pinned& pinned) {
-        std::vector<std::string_view> views(hosts.begin(), hosts.end());
-        std::vector<MatchView> matches(hosts.size());
-        pinned.match_batch(views, matches);
-        std::vector<Match> out;
-        out.reserve(hosts.size());
-        for (const MatchView& m : matches) out.push_back(m.to_match());
-        count_queries(hosts.size());
-        return out;
-      });
 }
 
 // --- hot reload --------------------------------------------------------------

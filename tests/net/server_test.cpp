@@ -3,10 +3,9 @@
 // frames answered on the loop thread (no worker needed, pipelined bursts in
 // order, the write-buffer bound), frame- vs payload-level violation
 // handling, keep-last-good reloads over the wire, timeouts, max-connection
-// shedding, the UDP fast path and its datagram contract, SO_REUSEPORT
-// load-balancing across two servers on one port, graceful drain, and
-// reload-under-load with concurrent clients (the TSan CI job runs this
-// suite via `ctest -R '^(Serve|Net)'`).
+// shedding, SO_REUSEPORT load-balancing across two servers on one port,
+// graceful drain, and reload-under-load with concurrent clients (the TSan
+// CI job runs this suite via `ctest -R '^(Serve|Net)'`).
 #include "psl/net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -922,150 +921,6 @@ TEST(NetServerTest, MatchAtMalformedPayloadKeepsConnection) {
   ASSERT_TRUE(raw.recv_frame(response, storage));
   EXPECT_EQ(response.header.id, 93u);
   EXPECT_EQ(response.payload[0], static_cast<std::uint8_t>(Status::kOk));
-}
-
-TEST(NetServerTest, UdpFastPathRoundTrips) {
-  obs::MetricsRegistry metrics;
-  serve::Engine engine(snap_of(list_a()), {.threads = 2, .metrics = &metrics});
-  ServerOptions options;
-  options.enable_udp = true;
-  options.metrics = &metrics;
-  Server server(engine, options);
-  auto port = server.start();
-  ASSERT_TRUE(port.ok()) << port.error().message;
-
-  auto connected = Client::connect_udp("127.0.0.1", *port, {});
-  ASSERT_TRUE(connected.ok()) << connected.error().message;
-  Client udp = *std::move(connected);
-  EXPECT_TRUE(udp.udp());
-  EXPECT_TRUE(udp.ping().ok());
-
-  // The datagram answers must be byte-for-byte the TCP batch semantics.
-  auto domains = udp.registrable_domains({"a.b.example.com", "x.co.uk", "co.uk"});
-  ASSERT_TRUE(domains.ok()) << domains.error().message;
-  EXPECT_EQ(*domains, (std::vector<std::string>{"example.com", "x.co.uk", ""}));
-
-  auto matches = udp.match_batch({"www.example.co.uk"});
-  ASSERT_TRUE(matches.ok()) << matches.error().message;
-  ASSERT_EQ(matches->size(), 1u);
-  EXPECT_EQ((*matches)[0].public_suffix, "co.uk");
-  EXPECT_EQ((*matches)[0].registrable_domain, "example.co.uk");
-  EXPECT_TRUE((*matches)[0].matched_explicit_rule);
-
-  auto sites = udp.same_site_batch(
-      {{"a.example.com", "b.example.com"}, {"one.com", "two.com"}});
-  ASSERT_TRUE(sites.ok()) << sites.error().message;
-  EXPECT_EQ(*sites, (std::vector<std::uint8_t>{1, 0}));
-
-  auto stats = udp.stats();
-  ASSERT_TRUE(stats.ok()) << stats.error().message;
-  EXPECT_EQ(stats->generation, 1u);
-  EXPECT_EQ(stats->rule_count, 4u);
-
-  // No push channel over datagrams — that is a documented contract, not a
-  // timeout.
-  auto pushes = udp.poll_pushes();
-  ASSERT_FALSE(pushes.ok());
-  EXPECT_EQ(pushes.error().code, "net.unsupported");
-
-  // A TCP client coexists on the same port and sees the same list.
-  Client tcp = connect_or_die(*port);
-  auto tcp_domains = tcp.registrable_domains({"a.b.example.com"});
-  ASSERT_TRUE(tcp_domains.ok());
-  EXPECT_EQ((*tcp_domains)[0], "example.com");
-
-  EXPECT_GE(metrics.counter("net.udp.datagrams").value(), 5);
-  EXPECT_EQ(metrics.counter("net.udp.dropped").value(), 0);
-}
-
-/// Raw UDP socket for datagram-contract tests the Client refuses to send.
-class RawUdp {
- public:
-  explicit RawUdp(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-    timeval tv{0, 300'000};  // short: "no response" tests wait this out
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  }
-  ~RawUdp() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send_datagram(std::span<const std::uint8_t> bytes) {
-    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), 0),
-              static_cast<ssize_t>(bytes.size()));
-  }
-
-  /// One datagram or -1 on timeout.
-  ssize_t recv_datagram(std::vector<std::uint8_t>& out) {
-    out.resize(kUdpMaxDatagramBytes);
-    const ssize_t n = ::recv(fd_, out.data(), out.size(), 0);
-    if (n >= 0) out.resize(static_cast<std::size_t>(n));
-    return n;
-  }
-
- private:
-  int fd_ = -1;
-};
-
-TEST(NetServerTest, UdpDatagramContract) {
-  obs::MetricsRegistry metrics;
-  serve::Engine engine(snap_of(list_a()), {.threads = 1, .metrics = &metrics});
-  ServerOptions options;
-  options.enable_udp = true;
-  options.metrics = &metrics;
-  Server server(engine, options);
-  auto port = server.start();
-  ASSERT_TRUE(port.ok());
-
-  RawUdp raw(*port);
-  std::vector<std::uint8_t> wire;
-  std::vector<std::uint8_t> datagram;
-
-  // Stream-only request types answer kUnsupported with the udp detail —
-  // reload over a lossy datagram would be a silent-corruption hazard.
-  encode_frame(wire, static_cast<std::uint8_t>(FrameType::kReload), 7, {});
-  raw.send_datagram(wire);
-  ASSERT_GE(raw.recv_datagram(datagram), 17);
-  // Type byte at offset 5 (frame.hpp layout), status right after the header.
-  EXPECT_EQ(datagram[5], static_cast<std::uint8_t>(FrameType::kReload) | kResponseBit);
-  EXPECT_EQ(datagram[kHeaderBytes], static_cast<std::uint8_t>(Status::kUnsupported));
-
-  // A malformed datagram (broken magic) is dropped silently: datagrams
-  // cannot be resynchronized or answered reliably, so there is no reply.
-  wire.clear();
-  encode_frame(wire, static_cast<std::uint8_t>(FrameType::kPing), 8, {});
-  wire[0] ^= 0xFF;
-  raw.send_datagram(wire);
-  EXPECT_LT(raw.recv_datagram(datagram), 0);  // recv timeout, not a response
-
-  // The socket (and server) keep serving valid requests afterwards.
-  wire.clear();
-  encode_frame(wire, static_cast<std::uint8_t>(FrameType::kPing), 9, {});
-  raw.send_datagram(wire);
-  ASSERT_GE(raw.recv_datagram(datagram), 17);
-  EXPECT_EQ(datagram[kHeaderBytes], static_cast<std::uint8_t>(Status::kOk));
-
-  EXPECT_GE(metrics.counter("net.udp.dropped").value(), 1);
-}
-
-TEST(NetServerTest, UdpDisabledByDefault) {
-  serve::Engine engine(snap_of(list_a()), {.threads = 1});
-  Server server(engine, {});  // enable_udp defaults to false
-  auto port = server.start();
-  ASSERT_TRUE(port.ok());
-
-  RawUdp raw(*port);
-  std::vector<std::uint8_t> wire;
-  encode_frame(wire, static_cast<std::uint8_t>(FrameType::kPing), 1, {});
-  raw.send_datagram(wire);
-  std::vector<std::uint8_t> datagram;
-  EXPECT_LT(raw.recv_datagram(datagram), 0);  // nobody home on UDP
 }
 
 TEST(NetServerTest, ReusePortServersShareOnePort) {

@@ -1,7 +1,6 @@
-// Differential suite over all four matcher paths: the reversed-label trie
-// (List::match), the per-depth hash-probing baseline (FlatMatcher), the
-// arena-compiled matcher (CompiledMatcher::match_view), and its batch entry
-// point (CompiledMatcher::match_batch). All implement the publicsuffix.org
+// Differential suite over all three matcher paths: the reversed-label trie
+// (List::match), the arena-compiled matcher (CompiledMatcher::match_view),
+// and its batch entry point (CompiledMatcher::match_batch). All implement the publicsuffix.org
 // algorithm and must agree *exactly* — public suffix, registrable domain,
 // explicitness, section, rule-label count, and the canonical prevailing-rule
 // text — on every input: generated hosts, checkPublicSuffix-style fixture
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "psl/psl/compiled_matcher.hpp"
-#include "psl/psl/flat_matcher.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/psl/match.hpp"
 #include "psl/util/rng.hpp"
@@ -29,7 +27,7 @@ namespace {
 // The suite is written against the Matcher concept: every implementation is
 // queried through the one unified entry point (match_view) and any model of
 // the concept can be dropped into the pack below.
-static_assert(Matcher<List> && Matcher<FlatMatcher> && Matcher<CompiledMatcher>);
+static_assert(Matcher<List> && Matcher<CompiledMatcher>);
 
 /// All matchers in the pack must produce an identical Match for `host`.
 template <Matcher... Ms>
@@ -48,9 +46,8 @@ void expect_matchers_agree(const std::string& host, const Ms&... matchers) {
   }
 }
 
-void expect_all_agree(const List& list, const FlatMatcher& flat, const CompiledMatcher& compiled,
-                      const std::string& host) {
-  expect_matchers_agree(host, list, flat, compiled);
+void expect_all_agree(const List& list, const CompiledMatcher& compiled, const std::string& host) {
+  expect_matchers_agree(host, list, compiled);
 
   // The zero-allocation view and its allocating adapter must tell one story.
   const Match a = list.match(host);
@@ -59,7 +56,7 @@ void expect_all_agree(const List& list, const FlatMatcher& flat, const CompiledM
   ASSERT_EQ(v.registrable_domain, a.registrable_domain) << host;
   ASSERT_EQ(v.prevailing_rule(), a.prevailing_rule) << host;
 
-  // Fourth way: the batch entry point, fed this one host, must reproduce the
+  // Third way: the batch entry point, fed this one host, must reproduce the
   // single walk's view bit for bit (a full-width batch is exercised by
   // BatchedMatchAgreesOnWholeCorpus).
   const std::string_view host_view = host;
@@ -84,7 +81,6 @@ class MatcherEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {}
 TEST_P(MatcherEquivalenceTest, AllThreeMatchersAgreeOnGeneratedHosts) {
   const std::uint64_t seed = GetParam();
   const List list = random_list(seed, 140);
-  const FlatMatcher flat(list);
   const CompiledMatcher compiled(list);
   const auto pool = shared_pool(seed);
 
@@ -92,7 +88,7 @@ TEST_P(MatcherEquivalenceTest, AllThreeMatchersAgreeOnGeneratedHosts) {
   for (int i = 0; i < 3000; ++i) {
     std::string host = random_host(rng, pool);
     if (rng.chance(0.05)) host.push_back('.');  // trailing dot tolerance
-    expect_all_agree(list, flat, compiled, host);
+    expect_all_agree(list, compiled, host);
   }
 }
 
@@ -126,7 +122,6 @@ blogspot.com
 )");
   ASSERT_TRUE(parsed.ok());
   const List& list = *parsed;
-  const FlatMatcher flat(list);
   const CompiledMatcher compiled(list);
 
   // (host, expected registrable domain; "" = host is/contains only a suffix).
@@ -174,19 +169,18 @@ blogspot.com
   };
   for (const auto& [host, registrable] : cases) {
     EXPECT_EQ(list.match(host).registrable_domain, registrable) << host;
-    expect_all_agree(list, flat, compiled, host);
+    expect_all_agree(list, compiled, host);
   }
 }
 
 TEST(MatcherEquivalenceTest, AgreeOnHostileAndDegenerateHosts) {
   const List list = random_list(4096, 120);
-  const FlatMatcher flat(list);
   const CompiledMatcher compiled(list);
 
-  for (const std::string& host : hostile_hosts()) expect_all_agree(list, flat, compiled, host);
+  for (const std::string& host : hostile_hosts()) expect_all_agree(list, compiled, host);
 
   util::Rng rng(777);
-  for (int i = 0; i < 4000; ++i) expect_all_agree(list, flat, compiled, random_blob(rng));
+  for (int i = 0; i < 4000; ++i) expect_all_agree(list, compiled, random_blob(rng));
 }
 
 TEST(MatcherEquivalenceTest, BatchedMatchAgreesOnWholeCorpus) {
@@ -247,9 +241,8 @@ TEST(MatcherEquivalenceTest, AgreeUnderIncrementalMutation) {
       }
     }
 
-    const FlatMatcher flat(list);
-    const CompiledMatcher compiled(list);
-    for (int i = 0; i < 200; ++i) expect_all_agree(list, flat, compiled, random_host(rng, pool, 4));
+      const CompiledMatcher compiled(list);
+    for (int i = 0; i < 200; ++i) expect_all_agree(list, compiled, random_host(rng, pool, 4));
   }
 }
 
@@ -257,7 +250,6 @@ TEST(MatcherEquivalenceTest, GenericSameSiteAgreesAcrossMatchers) {
   // psl::same_site is one template over the Matcher concept; instantiated
   // against each implementation it must agree with the List member.
   const List list = random_list(31337, 120);
-  const FlatMatcher flat(list);
   const CompiledMatcher compiled(list);
   const auto pool = shared_pool(31337);
 
@@ -268,7 +260,6 @@ TEST(MatcherEquivalenceTest, GenericSameSiteAgreesAcrossMatchers) {
     const std::string b = rng.chance(0.3) ? a : make_host();
     const bool expected = list.same_site(a, b);
     EXPECT_EQ(same_site(list, a, b), expected) << a << " vs " << b;
-    EXPECT_EQ(same_site(flat, a, b), expected) << a << " vs " << b;
     EXPECT_EQ(same_site(compiled, a, b), expected) << a << " vs " << b;
   }
 }

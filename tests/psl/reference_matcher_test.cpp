@@ -1,7 +1,7 @@
 // CompiledMatcher against a brute-force reference that shares no code with
-// psl/detail/match_walk.hpp. List, FlatMatcher and CompiledMatcher all run
-// that one walk, so agreement among them cannot expose a bug in it; this
-// suite can.
+// psl/detail/match_walk.hpp. List and CompiledMatcher both run that one
+// walk, so agreement between them cannot expose a bug in it; this suite
+// can.
 //
 // The reference applies the publicsuffix.org steps literally: look up every
 // suffix of the host in std::maps of rule strings, collect the matching

@@ -1,8 +1,10 @@
 // Per-worker registrable-domain cache: unit behavior of RegDomainCache
 // (robin-hood probing, bounded displacement, the kNoDomain-vs-miss
-// distinction) and the serving-layer contract that matters — cached answers
-// are indistinguishable from uncached ones, and a hot reload can never leak
-// a boundary cached under the previous list. Suites are named Serve* so the
+// distinction, keys that carry the host length) and the serving-layer
+// contract that matters — cached answers are indistinguishable from
+// uncached ones, a colliding entry can never answer for a host of another
+// length, and a hot reload can never leak a boundary cached under the
+// previous list. Suites are named Serve* so the
 // TSan CI job picks them up via `ctest -R '^(Serve|Net)'`.
 #include <gtest/gtest.h>
 
@@ -15,14 +17,20 @@
 #include <utility>
 #include <vector>
 
+#include "engine_jobs.hpp"
 #include "psl/obs/metrics.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/serve/engine.hpp"
 #include "psl/serve/regdomain_cache.hpp"
 #include "psl/serve/snapshot.hpp"
+#include "psl/util/siphash.hpp"
 
 namespace psl::serve {
 namespace {
+
+using jobs::registrable_domains_job;
+using jobs::same_site_job;
+using jobs::submit;
 
 List parse_list(const std::string& text) {
   auto parsed = List::parse(text);
@@ -52,7 +60,8 @@ TEST(ServeCacheTest, LookupInsertAndNoDomainSentinel) {
   EXPECT_TRUE(cache.enabled());
   EXPECT_EQ(cache.size(), 0u);
 
-  const std::uint64_t h = RegDomainCache::hash_host("a.example.com");
+  const RegDomainCache::Key h = RegDomainCache::key_of("a.example.com");
+  EXPECT_EQ(h.len, 13u);
   std::uint32_t rd_len = 0;
   EXPECT_FALSE(cache.lookup(h, rd_len));  // cold
 
@@ -68,17 +77,32 @@ TEST(ServeCacheTest, LookupInsertAndNoDomainSentinel) {
   EXPECT_EQ(cache.size(), 1u);
 
   // "Has no registrable domain" is a cachable ANSWER, distinct from a miss.
-  const std::uint64_t h2 = RegDomainCache::hash_host("co.uk");
+  const RegDomainCache::Key h2 = RegDomainCache::key_of("co.uk");
   cache.insert(h2, RegDomainCache::kNoDomain);
   ASSERT_TRUE(cache.lookup(h2, rd_len));
   EXPECT_EQ(rd_len, RegDomainCache::kNoDomain);
+
+  // The same hash under another length is another key: it misses, and it
+  // takes its own slot.
+  const RegDomainCache::Key longer{h.hash, h.len + 8};
+  EXPECT_FALSE(cache.lookup(longer, rd_len));
+  EXPECT_FALSE(cache.insert(longer, 15));
+  ASSERT_TRUE(cache.lookup(h, rd_len));
+  EXPECT_EQ(rd_len, 7u);
+  EXPECT_EQ(cache.size(), 3u);
+
+  // Hosts too long to describe in 32 bits are never cached.
+  const RegDomainCache::Key huge{h.hash, RegDomainCache::kUncachable};
+  EXPECT_FALSE(cache.insert(huge, 1));
+  EXPECT_FALSE(cache.lookup(huge, rd_len));
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(ServeCacheTest, DisabledCacheNeverHits) {
   RegDomainCache cache(0);
   EXPECT_FALSE(cache.enabled());
   EXPECT_EQ(cache.capacity(), 0u);
-  const std::uint64_t h = RegDomainCache::hash_host("a.example.com");
+  const RegDomainCache::Key h = RegDomainCache::key_of("a.example.com");
   EXPECT_FALSE(cache.insert(h, 3));
   std::uint32_t rd_len = 0;
   EXPECT_FALSE(cache.lookup(h, rd_len));
@@ -93,9 +117,9 @@ TEST(ServeCacheTest, EvictionIsBoundedAndNeverLies) {
   // corrupts them).
   RegDomainCache cache(64);
   const std::size_t n = RegDomainCache::kMaxProbe * 3;
-  std::vector<std::uint64_t> keys;
+  std::vector<RegDomainCache::Key> keys;
   for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back(((i + 1) << 6) | 5u);  // identical low 6 bits -> one bucket
+    keys.push_back({((i + 1) << 6) | 5u, 20});  // identical low 6 bits -> one bucket
   }
   bool evicted = false;
   for (std::size_t i = 0; i < n; ++i) {
@@ -117,6 +141,58 @@ TEST(ServeCacheTest, EvictionIsBoundedAndNeverLies) {
   EXPECT_EQ(hits, cache.size());
 }
 
+TEST(ServeCacheTest, InjectedCollisionOfAnotherLengthNeverAnswers) {
+  // A forged entry under a real host's hash, claiming a longer host and a
+  // boundary longer than the real host: what an attacker who could craft a
+  // colliding host would plant. Through a hand-built Pinned over this
+  // test-owned cache, every lookup of the real host must still give the
+  // matcher's own answer (and must not read past the host's bytes).
+  const List list = parse_list("com\nuk\nco.uk\nio\ngithub.io\n");
+  const CompiledMatcher matcher(list);
+  const snapshot::Metadata meta;
+  RegDomainCache cache(64);
+  const std::vector<std::string> hosts = {"alice.github.io", "www.example.co.uk", "co.uk"};
+  for (const std::string& host : hosts) {
+    const RegDomainCache::Key real = RegDomainCache::key_of(host);
+    ASSERT_EQ(real.len, host.size());
+    cache.insert({real.hash, real.len + 7}, real.len + 5);
+  }
+  const Engine::Pinned pinned{matcher, meta, 1, &cache};
+
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass hits real entries
+    for (const std::string& host : hosts) {
+      EXPECT_EQ(pinned.registrable_domain_view(host),
+                matcher.match_view(host).registrable_domain)
+          << host;
+    }
+    const std::vector<std::string_view> views(hosts.begin(), hosts.end());
+    std::vector<std::string_view> out(hosts.size());
+    pinned.registrable_domains(views, out);
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      EXPECT_EQ(out[i], matcher.match_view(hosts[i]).registrable_domain) << hosts[i];
+    }
+    EXPECT_FALSE(pinned.same_site("alice.github.io", "bob.github.io"));
+    EXPECT_TRUE(pinned.same_site("www.example.co.uk", "example.co.uk"));
+  }
+}
+
+TEST(ServeCacheTest, KeyIsAKeyedSipHash) {
+  // The shared SipHash code against the reference vectors of the SipHash
+  // paper (key 00..0f; SipHash-2-4 of the empty message and of 00..0e).
+  const util::SipKey key{0x0706050403020100ull, 0x0f0e0d0c0b0a0908ull};
+  EXPECT_EQ((util::siphash<2, 4>(key, {})), 0x726fdb47dd0e0e31ull);
+  std::string message;
+  for (char c = 0; c < 15; ++c) message.push_back(c);
+  EXPECT_EQ((util::siphash<2, 4>(key, message)), 0xa129ca6149be45e5ull);
+
+  // The cache key depends on the process's secret key, and is stable
+  // within the process.
+  const std::string host = "tenant.github.io";
+  const RegDomainCache::Key k = RegDomainCache::key_of(host);
+  EXPECT_NE(k.hash, util::siphash13({}, host));
+  EXPECT_EQ(k.hash, RegDomainCache::key_of(host).hash);
+}
+
 TEST(ServeCacheTest, CachedAnswersMatchUncached) {
   obs::MetricsRegistry metrics;
   Engine cached(snap_of(list_a()), {.threads = 2, .cache_slots = 1024, .metrics = &metrics});
@@ -128,11 +204,11 @@ TEST(ServeCacheTest, CachedAnswersMatchUncached) {
       "a.b.example.com", "x.co.uk",  "co.uk", "deep.y.example.co.uk", "",
       "a..b",            "10.0.0.1", "com",   "a.b.example.com",      "x.co.uk"};
   for (int pass = 0; pass < 3; ++pass) {
-    auto want = uncached.submit_registrable_domains(hosts);
-    auto got = cached.submit_registrable_domains(hosts);
+    auto want = submit(uncached, registrable_domains_job(uncached, hosts));
+    auto got = submit(cached, registrable_domains_job(cached, hosts));
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->get(), want->get());
+    EXPECT_EQ(got.result.get(), want.result.get());
   }
 
   const std::vector<std::pair<std::string, std::string>> pairs = {
@@ -140,11 +216,11 @@ TEST(ServeCacheTest, CachedAnswersMatchUncached) {
       {"co.uk", "co.uk"},                 {"", ""},
       {"a.example.com", "a.example.com."}};
   for (int pass = 0; pass < 3; ++pass) {
-    auto want = uncached.submit_same_site(pairs);
-    auto got = cached.submit_same_site(pairs);
+    auto want = submit(uncached, same_site_job(uncached, pairs));
+    auto got = submit(cached, same_site_job(cached, pairs));
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->get(), want->get());
+    EXPECT_EQ(got.result.get(), want.result.get());
   }
 
   EXPECT_GT(metrics.counter("serve.cache.hit").value(), 0);
@@ -155,9 +231,9 @@ TEST(ServeCacheTest, ReloadInvalidatesCachedBoundary) {
 
   // Populate the worker's cache with the list-A boundary.
   for (int i = 0; i < 4; ++i) {
-    auto r = engine.submit_registrable_domains({std::string(kProbe)});
+    auto r = submit(engine, registrable_domains_job(engine, {std::string(kProbe)}));
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->get(), std::vector<std::string>{std::string(kAnswerA)});
+    EXPECT_EQ(r.result.get(), std::vector<std::string>{std::string(kAnswerA)});
   }
 
   // Swap in list B: the probe's registrable domain changes. A stale cached
@@ -165,9 +241,9 @@ TEST(ServeCacheTest, ReloadInvalidatesCachedBoundary) {
   // must make every post-reload answer reflect list B.
   engine.reload_list(list_b());
   for (int i = 0; i < 4; ++i) {
-    auto r = engine.submit_registrable_domains({std::string(kProbe)});
+    auto r = submit(engine, registrable_domains_job(engine, {std::string(kProbe)}));
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->get(), std::vector<std::string>{std::string(kAnswerB)});
+    EXPECT_EQ(r.result.get(), std::vector<std::string>{std::string(kAnswerB)});
   }
 }
 

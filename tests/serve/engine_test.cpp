@@ -1,7 +1,8 @@
 // psl::serve::Engine — RCU swap visibility, backpressure, keep-last-good
 // reloads, drain-on-shutdown, and the headline concurrency contract: batched
 // queries racing 100+ hot reloads always see exactly one list version per
-// batch. Suites are named Serve* so the TSan CI job can select them with
+// batch. Queries run as the engine's callers run them: batch jobs through
+// submit_job, single queries through run_inline (engine_jobs.hpp). Suites are named Serve* so the TSan CI job can select them with
 // `ctest -R '^Serve'`.
 #include "psl/serve/engine.hpp"
 
@@ -16,12 +17,20 @@
 #include <utility>
 #include <vector>
 
+#include "engine_jobs.hpp"
 #include "psl/obs/metrics.hpp"
 #include "psl/psl/list.hpp"
 #include "psl/serve/snapshot.hpp"
 
 namespace psl::serve {
 namespace {
+
+using jobs::match_job;
+using jobs::registrable_domain;
+using jobs::registrable_domains_job;
+using jobs::same_site;
+using jobs::same_site_job;
+using jobs::submit;
 
 List parse_list(const std::string& text) {
   auto parsed = List::parse(text);
@@ -43,31 +52,35 @@ TEST(ServeEngineTest, SingleQueries) {
   Engine engine(snap_of(list_a()), {.threads = 1});
   EXPECT_EQ(engine.generation(), 1u);
   EXPECT_EQ(engine.metadata().rule_count, 3u);
-  EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "example.com");
-  EXPECT_EQ(engine.registrable_domain("co.uk"), "");  // itself a suffix
-  EXPECT_TRUE(engine.same_site("a.example.com", "b.example.com"));
-  EXPECT_FALSE(engine.same_site("one.com", "two.com"));
-  const Match m = engine.match("shop.example.co.uk");
+  EXPECT_EQ(registrable_domain(engine, "a.b.example.com"), "example.com");
+  EXPECT_EQ(registrable_domain(engine, "co.uk"), "");  // itself a suffix
+  EXPECT_TRUE(same_site(engine, "a.example.com", "b.example.com"));
+  EXPECT_FALSE(same_site(engine, "one.com", "two.com"));
+  Match m;
+  engine.run_inline([&](const Engine::Pinned& pinned) {
+    m = pinned.matcher.match_view("shop.example.co.uk").to_match();
+  });
   EXPECT_EQ(m.registrable_domain, "example.co.uk");
 }
 
 TEST(ServeEngineTest, BatchedQueries) {
   Engine engine(snap_of(list_a()), {.threads = 2});
 
-  auto domains = engine.submit_registrable_domains(
-      {"a.b.example.com", "x.co.uk", "co.uk", "deep.y.example.co.uk"});
-  ASSERT_TRUE(domains.ok()) << domains.error().message;
-  EXPECT_EQ(domains->get(),
+  auto domains = submit(engine, registrable_domains_job(engine, {"a.b.example.com", "x.co.uk",
+                                                                "co.uk", "deep.y.example.co.uk"}));
+  ASSERT_TRUE(domains.ok());
+  EXPECT_EQ(domains.result.get(),
             (std::vector<std::string>{"example.com", "x.co.uk", "", "example.co.uk"}));
 
-  auto sites = engine.submit_same_site(
-      {{"a.example.com", "b.example.com"}, {"one.com", "two.com"}, {"co.uk", "co.uk"}});
+  auto sites = submit(engine, same_site_job(engine, {{"a.example.com", "b.example.com"},
+                                                     {"one.com", "two.com"},
+                                                     {"co.uk", "co.uk"}}));
   ASSERT_TRUE(sites.ok());
-  EXPECT_EQ(sites->get(), (std::vector<std::uint8_t>{1, 0, 1}));
+  EXPECT_EQ(sites.result.get(), (std::vector<std::uint8_t>{1, 0, 1}));
 
-  auto matches = engine.submit_match({"www.example.co.uk"});
+  auto matches = submit(engine, match_job(engine, {"www.example.co.uk"}));
   ASSERT_TRUE(matches.ok());
-  const auto results = matches->get();
+  const auto results = matches.result.get();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].registrable_domain, "example.co.uk");
 }
@@ -77,25 +90,25 @@ TEST(ServeEngineTest, BackpressureRejectsWhenQueueFull) {
   // Depth 0: every batch submit is rejected, deterministically.
   Engine engine(snap_of(list_a()), {.threads = 1, .max_queue_depth = 0, .metrics = &metrics});
 
-  auto rejected = engine.submit_registrable_domains({"a.example.com"});
+  auto rejected = submit(engine, registrable_domains_job(engine, {"a.example.com"}));
   ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.error().code, "serve.backpressure");
+  EXPECT_EQ(rejected.outcome, Engine::Enqueue::kBackpressure);
   EXPECT_EQ(metrics.counter("serve.rejected").value(), 1);
 
   // Inline queries bypass the queue and still work.
-  EXPECT_EQ(engine.registrable_domain("a.example.com"), "example.com");
+  EXPECT_EQ(registrable_domain(engine, "a.example.com"), "example.com");
 }
 
 TEST(ServeEngineTest, SwapIsVisibleAndBumpsGeneration) {
   Engine engine(snap_of(list_a()), {.threads = 1});
-  EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "example.com");
+  EXPECT_EQ(registrable_domain(engine, "a.b.example.com"), "example.com");
 
   const std::uint64_t generation = engine.reload_list(list_b());
   EXPECT_EQ(generation, 2u);
   EXPECT_EQ(engine.generation(), 2u);
   EXPECT_EQ(engine.metadata().rule_count, 5u);
   // Under list B "example.com" is a suffix, so the eTLD+1 gains a label.
-  EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "b.example.com");
+  EXPECT_EQ(registrable_domain(engine, "a.b.example.com"), "b.example.com");
 }
 
 TEST(ServeEngineTest, GenerationListenerFiresAfterEverySwapInOrder) {
@@ -130,7 +143,7 @@ TEST(ServeEngineTest, ReloadSnapshotKeepsLastGoodOnFailure) {
   auto failed = engine.reload_snapshot({garbage.data(), garbage.size()});
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(engine.generation(), 1u);  // untouched
-  EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "example.com");
+  EXPECT_EQ(registrable_domain(engine, "a.b.example.com"), "example.com");
   EXPECT_EQ(metrics.counter("serve.reload.failure").value(), 1);
   EXPECT_EQ(metrics.counter("serve.reload.success").value(), 0);
 
@@ -143,7 +156,7 @@ TEST(ServeEngineTest, ReloadSnapshotKeepsLastGoodOnFailure) {
       engine.reload_snapshot({reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
   ASSERT_TRUE(swapped.ok()) << swapped.error().message;
   EXPECT_EQ(*swapped, 2u);
-  EXPECT_EQ(engine.registrable_domain("a.b.example.com"), "b.example.com");
+  EXPECT_EQ(registrable_domain(engine, "a.b.example.com"), "b.example.com");
   EXPECT_EQ(metrics.counter("serve.reload.success").value(), 1);
 }
 
@@ -168,9 +181,10 @@ TEST(ServeEngineTest, ShutdownDrainsAcceptedBatches) {
   {
     Engine engine(snap_of(list_a()), {.threads = 1, .max_queue_depth = 128});
     for (int i = 0; i < 32; ++i) {
-      auto submitted = engine.submit_registrable_domains({"a.example.com", "b.co.uk"});
+      auto submitted =
+          submit(engine, registrable_domains_job(engine, {"a.example.com", "b.co.uk"}));
       ASSERT_TRUE(submitted.ok());
-      futures.push_back(std::move(*submitted));
+      futures.push_back(std::move(submitted.result));
     }
   }  // destructor: stop intake, drain, join
   for (auto& f : futures) {
@@ -212,18 +226,20 @@ TEST(ServeEngineTest, MetricsAreWired) {
   {
     Engine engine(snap_of(list_a()), {.threads = 2, .metrics = &metrics});
 
-    auto batch = engine.submit_registrable_domains({"a.example.com", "b.example.com"});
+    auto batch =
+        submit(engine, registrable_domains_job(engine, {"a.example.com", "b.example.com"}));
     ASSERT_TRUE(batch.ok());
-    batch->get();
-    engine.registrable_domain("c.example.com");
+    batch.result.get();
+    registrable_domain(engine, "c.example.com");
     engine.reload_list(list_b());
   }  // join workers: the batch future resolves before the worker's batch_ms
      // timer records, so read the histogram only after the pool is gone.
 
-  EXPECT_EQ(metrics.counter("serve.batches").value(), 1);
+  // One queued batch plus one inline batch (run_inline counts a batch too).
+  EXPECT_EQ(metrics.counter("serve.batches").value(), 2);
   EXPECT_EQ(metrics.counter("serve.queries").value(), 3);  // 2 batched + 1 inline
   EXPECT_EQ(metrics.counter("serve.reload.success").value(), 1);
-  EXPECT_EQ(metrics.histogram("serve.batch_ms").count(), 1);
+  EXPECT_EQ(metrics.histogram("serve.batch_ms").count(), 2);
   EXPECT_EQ(metrics.gauge("serve.queue_depth").value(), 0.0);
 }
 
@@ -260,14 +276,14 @@ TEST(ServeEngineTest, BatchesSeeExactlyOneVersionAcrossManyReloads) {
   std::size_t checked = 0;
   std::size_t rejected = 0;
   while (!done.load(std::memory_order_acquire) || checked == 0) {
-    auto submitted = engine.submit_registrable_domains(probes);
+    auto submitted = submit(engine, registrable_domains_job(engine, probes));
     if (!submitted.ok()) {
-      ASSERT_EQ(submitted.error().code, "serve.backpressure");
+      ASSERT_EQ(submitted.outcome, Engine::Enqueue::kBackpressure);
       ++rejected;
       std::this_thread::yield();
       continue;
     }
-    const std::vector<std::string> got = submitted->get();
+    const std::vector<std::string> got = submitted.result.get();
     const bool is_a = got == answers_a;
     const bool is_b = got == answers_b;
     ASSERT_TRUE(is_a || is_b) << "torn batch mixing versions at iteration " << checked;
@@ -298,22 +314,23 @@ TEST(ServeEngineTest, ConcurrentMixedQueriesDuringReloads) {
     stop.store(true, std::memory_order_release);
   });
 
+  // The only run_inline caller (the inline slot is single-writer).
   std::thread inliner([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const std::string rd = engine.registrable_domain("a.b.example.com");
+      const std::string rd = registrable_domain(engine, "a.b.example.com");
       ASSERT_TRUE(rd == "example.com" || rd == "b.example.com") << rd;
-      engine.same_site("a.example.com", "b.example.com");
+      same_site(engine, "a.example.com", "b.example.com");
     }
   });
 
   while (!stop.load(std::memory_order_acquire)) {
-    auto sites = engine.submit_same_site({{"p.co.uk", "q.co.uk"}});
+    auto sites = submit(engine, same_site_job(engine, {{"p.co.uk", "q.co.uk"}}));
     if (sites.ok()) {
-      const auto got = sites->get();
+      const auto got = sites.result.get();
       ASSERT_EQ(got.size(), 1u);
     }
-    auto matches = engine.submit_match({"www.example.com"});
-    if (matches.ok()) matches->get();
+    auto matches = submit(engine, match_job(engine, {"www.example.com"}));
+    if (matches.ok()) matches.result.get();
   }
 
   reloader.join();
