@@ -38,10 +38,8 @@
 #include "psl/serve/engine.hpp"
 #include "psl/serve/snapshot.hpp"
 #include "psl/util/date.hpp"
-#include "psl/util/rng.hpp"
 #include "psl/util/strings.hpp"
 #include "psl/util/table.hpp"
-#include "psl/util/zipf.hpp"
 
 namespace {
 
@@ -165,53 +163,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // --- cached vs uncached on a Zipf-skewed stream --------------------------
-  // The serving workload the paper implies is heavily skewed (a few hot
-  // hosts dominate the 498M-request corpus), which is exactly what the
-  // per-worker registrable-domain caches exploit. Replay the same Zipf
-  // stream through an engine with caches on (default slots) and one with
-  // caches off (cache_slots = 0); same hosts, same batches — the delta is
-  // the cache.
-  std::vector<std::string> zipf_stream;
-  {
-    psl::util::Rng zrng(11);
-    const psl::util::ZipfSampler zipf(hosts.size(), 1.0);
-    zipf_stream.reserve(hosts.size());
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      zipf_stream.push_back(hosts[zipf.sample(zrng)]);
-    }
-  }
-  struct CacheCell {
-    bool cached = false;
-    std::size_t batch = 0;
-    double wall_ms = 0.0;
-    double qps = 0.0;
-  };
-  std::vector<CacheCell> cache_cells;
-  const std::size_t cache_threads = std::min<std::size_t>(4, max_threads);
-  for (const std::size_t batch : {std::size_t{16}, std::size_t{256}}) {
-    for (const bool cached : {false, true}) {
-      psl::serve::Engine engine(snapshot_of(list, latest_date),
-                                {.threads = cache_threads,
-                                 .max_queue_depth = 1024,
-                                 .cache_slots = cached ? std::size_t{16384} : std::size_t{0}});
-      CacheCell cell;
-      cell.cached = cached;
-      cell.batch = batch;
-      cell.wall_ms = run_cell(engine, zipf_stream, queries_per_cell, batch);
-      cell.qps = static_cast<double>(queries_per_cell) / (cell.wall_ms / 1000.0);
-      cache_cells.push_back(cell);
-    }
-  }
-  std::cout << "\n=== Zipf-skewed stream (s=1.0): registrable-domain cache on/off ===\n";
-  psl::util::TextTable cache_table({"batch size", "cache", "wall time", "queries/sec"});
-  for (const CacheCell& cell : cache_cells) {
-    cache_table.add_row({std::to_string(cell.batch), cell.cached ? "on" : "off",
-                         psl::util::fmt_double(cell.wall_ms, 0) + " ms",
-                         psl::util::fmt_double(cell.qps, 0)});
-  }
-  cache_table.print(std::cout);
-
   // --- reload-under-load: hot-swap the list while a client keeps querying --
   // Alternates between the latest list and its predecessor, 50 swaps through
   // the full snapshot reload path, with batched queries racing the whole way.
@@ -274,16 +225,6 @@ int main(int argc, char** argv) {
          << ", \"wall_ms\": " << psl::util::fmt_double(cell.wall_ms, 2)
          << ", \"qps\": " << psl::util::fmt_double(cell.qps, 1) << "}"
          << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n";
-  json << "  \"zipf_cache_comparison\": [\n";
-  for (std::size_t i = 0; i < cache_cells.size(); ++i) {
-    const CacheCell& cell = cache_cells[i];
-    json << "    {\"threads\": " << cache_threads << ", \"batch_size\": " << cell.batch
-         << ", \"cached\": " << (cell.cached ? "true" : "false")
-         << ", \"wall_ms\": " << psl::util::fmt_double(cell.wall_ms, 2)
-         << ", \"qps\": " << psl::util::fmt_double(cell.qps, 1) << "}"
-         << (i + 1 < cache_cells.size() ? "," : "") << "\n";
   }
   json << "  ],\n";
   json << "  \"reload_under_load\": {\"threads\": " << reload_threads

@@ -7,9 +7,11 @@
 //          [--threads N] [--max-conns N] [--queue-depth N]
 //          [--max-frame BYTES] [--shards N] [--analytics]
 //
-//   Boots a serve::Engine from the validated snapshot file — or, with
-//   --store, from the newest version of a multi-version psl::store file,
-//   which additionally enables the match_at / divergence time-travel frames.
+//   Boots a serve::Engine from a private, validated copy of the snapshot
+//   file (overwriting or truncating the file in place later cannot change
+//   an answer; only a SIGHUP re-reads it) — or, with --store, from the
+//   newest version of a multi-version psl::store file, which additionally
+//   enables the match_at / divergence time-travel frames.
 //   Signal handlers are installed BEFORE the listener goes live (and before
 //   the snapshot load), so a supervisor that signals the moment the process
 //   exists still gets the contract below instead of the default disposition:
@@ -92,8 +94,8 @@ int usage() {
                "       [--shards N] [--analytics]\n"
                "PORT 0 asks the kernel for an ephemeral port; the banner names it.\n"
                "--shards N forks N acceptor processes sharing the port via\n"
-               "SO_REUSEPORT and the snapshot via a shared mapping (requires\n"
-               "--snapshot; publish new snapshots by rename, never in place).\n"
+               "SO_REUSEPORT (requires --snapshot); each shard serves its own\n"
+               "validated copy of the snapshot and reloads it on SIGHUP.\n"
                "  psld compile LIST_FILE OUT_SNAPSHOT\n"
                "  psld query  ADDR:PORT HOST...\n"
                "  psld match-at ADDR:PORT YYYY-MM-DD HOST...\n"
@@ -391,91 +393,120 @@ struct ServeConfig {
   bool analytics = false;
 };
 
-// One shard: engine + server + signal loop, run in a forked child. The shard
-// maps the SAME snapshot file as every other shard (load_file_view — one
-// physical copy in the page cache) and installs it as the latch's current
-// generation, so a respawned shard rejoins the fleet at the fleet's number,
-// not at 1. SIGHUP (forwarded by the parent AFTER it bumped the latch) makes
-// the shard reload the file as the published generation.
-int shard_main(const ServeConfig& cfg, std::size_t shard_index,
-               const psl::net::GenerationLatch& latch, int placeholder_fd) {
-  if (placeholder_fd >= 0) ::close(placeholder_fd);
-  // The inherited signal pipe belongs to the parent; a shard writing into it
-  // would feed the parent's loop. Re-plumb before anything can signal us.
-  ::close(g_signal_pipe[0]);
-  ::close(g_signal_pipe[1]);
-  if (::pipe(g_signal_pipe) != 0) {
-    std::fprintf(stderr, "psld: shard %zu pipe: %s\n", shard_index, std::strerror(errno));
-    return 1;
-  }
-  ::signal(SIGCHLD, SIG_DFL);  // shards do not fork
+// A shard's place in a forked fleet: its slot index and the latch its
+// parent publishes generations through.
+struct Shard {
+  std::size_t index = 0;
+  const psl::net::GenerationLatch* latch = nullptr;
+};
 
+// The one Engine + Server + signal loop, for the single process (`shard`
+// null) and for each forked shard alike. The list is a private validated
+// copy (snapshot::load_file), so nothing a writer does to the file on disk
+// reaches the arena being served. A shard differs in three things only: it
+// shares its port with its siblings (reuse_port), it boots and reloads AS
+// the latch's generation (so a respawned shard rejoins the fleet at the
+// fleet's number, not at 1, and a SIGHUP forwarded by the parent after it
+// bumped the latch reloads the file as the published generation), and it
+// serves --snapshot only.
+int serve(const ServeConfig& cfg, const Shard* shard) {
+  const std::string who =
+      shard ? "psld: shard " + std::to_string(shard->index) : std::string("psld:");
   psl::obs::MetricsRegistry metrics;
   psl::serve::EngineOptions engine_options;
   engine_options.threads = cfg.threads;
   engine_options.max_queue_depth = cfg.queue_depth;
   engine_options.metrics = &metrics;
-  engine_options.initial_generation = latch.generation();
+  if (shard) engine_options.initial_generation = shard->latch->generation();
   if (cfg.analytics) {
     engine_options.census_factory = psl::analytics::census_factory({});
   }
-
-  auto snapshot = psl::snapshot::load_file_view(cfg.snapshot_path);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "psld: shard %zu snapshot load failed: %s (%s)\n", shard_index,
-                 snapshot.error().message.c_str(), snapshot.error().code.c_str());
-    return 1;
+  std::unique_ptr<psl::serve::Engine> engine;
+  if (!cfg.store_path.empty()) {
+    auto view = psl::store::StoreView::open(cfg.store_path);
+    if (!view.ok()) {
+      std::fprintf(stderr, "psld: store open failed: %s (%s)\n",
+                   view.error().message.c_str(), view.error().code.c_str());
+      return 1;
+    }
+    auto newest = (*view)->open_version((*view)->version_count() - 1);
+    if (!newest.ok()) {
+      std::fprintf(stderr, "psld: store materialize failed: %s (%s)\n",
+                   newest.error().message.c_str(), newest.error().code.c_str());
+      return 1;
+    }
+    engine = std::make_unique<psl::serve::Engine>(*std::move(newest), engine_options);
+    (void)!engine->adopt_store(*std::move(view));
+  } else {
+    auto snapshot = psl::snapshot::load_file(cfg.snapshot_path);
+    if (!snapshot.ok()) {
+      std::fprintf(stderr, "%s snapshot load failed: %s (%s)\n", who.c_str(),
+                   snapshot.error().message.c_str(), snapshot.error().code.c_str());
+      return 1;
+    }
+    engine = std::make_unique<psl::serve::Engine>(*std::move(snapshot), engine_options);
   }
-  psl::serve::Engine engine(*std::move(snapshot), engine_options);
 
   psl::net::ServerOptions options;
   options.bind_address = cfg.address;
-  options.port = cfg.port;  // concrete by now — the parent resolved port 0
+  options.port = cfg.port;  // a shard's is concrete: the parent resolved port 0
   options.max_connections = cfg.max_conns;
   options.max_frame_bytes = cfg.max_frame;
-  options.reuse_port = true;
+  options.reuse_port = shard != nullptr;
   options.metrics = &metrics;
-  psl::net::Server server(engine, options);
+  psl::net::Server server(*engine, options);
   auto started = server.start();
   if (!started.ok()) {
-    std::fprintf(stderr, "psld: shard %zu: %s\n", shard_index,
-                 started.error().message.c_str());
+    std::fprintf(stderr, "%s %s\n", who.c_str(), started.error().message.c_str());
     return 1;
   }
-  std::printf("psld: shard %zu serving generation %llu on %s:%u (pid %d)\n",
-              shard_index, static_cast<unsigned long long>(engine.generation()),
-              cfg.address.c_str(), *started, static_cast<int>(::getpid()));
+
+  if (shard) {
+    std::printf("psld: shard %zu serving generation %llu on %s:%u (pid %d)\n", shard->index,
+                static_cast<unsigned long long>(engine->generation()), cfg.address.c_str(),
+                *started, static_cast<int>(::getpid()));
+  } else {
+    std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu workers%s%s\n",
+                static_cast<unsigned long long>(engine->generation()),
+                static_cast<unsigned long long>(engine->metadata().rule_count),
+                cfg.address.c_str(), *started, engine->worker_count(),
+                cfg.store_path.empty() ? "" : " [store]", cfg.analytics ? " [analytics]" : "");
+  }
   std::fflush(stdout);
 
   for (;;) {
     std::uint8_t byte = 0;
     const ssize_t n = ::read(g_signal_pipe[0], &byte, 1);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    if (byte == 'H') {
-      const psl::net::LatchValue target = latch.read();
-      if (target.generation <= engine.generation()) {
-        std::printf("psld: shard %zu already at generation %llu\n", shard_index,
-                    static_cast<unsigned long long>(engine.generation()));
+    if (n <= 0 || byte != 'H') break;  // SIGTERM/SIGINT: drain and exit
+    std::uint64_t target = 0;
+    if (shard) {
+      target = shard->latch->read().generation;
+      if (target <= engine->generation()) {
+        std::printf("%s already at generation %llu\n", who.c_str(),
+                    static_cast<unsigned long long>(engine->generation()));
         std::fflush(stdout);
         continue;
       }
-      auto swapped = engine.reload_file_view(cfg.snapshot_path, target.generation);
-      if (swapped.ok()) {
-        std::printf("psld: shard %zu reloaded -> generation %llu\n", shard_index,
-                    static_cast<unsigned long long>(*swapped));
-      } else {
-        std::printf("psld: shard %zu reload rejected (%s), still serving generation %llu\n",
-                    shard_index, swapped.error().code.c_str(),
-                    static_cast<unsigned long long>(engine.generation()));
-      }
-      std::fflush(stdout);
-      continue;
     }
-    break;  // SIGTERM/SIGINT: drain and exit
+    auto swapped = cfg.store_path.empty() ? engine->reload_file(cfg.snapshot_path, target)
+                                          : engine->open_store(cfg.store_path);
+    if (!swapped.ok()) {
+      std::printf("%s reload rejected (%s), still serving generation %llu\n", who.c_str(),
+                  swapped.error().code.c_str(),
+                  static_cast<unsigned long long>(engine->generation()));
+    } else if (shard) {
+      std::printf("%s reloaded -> generation %llu\n", who.c_str(),
+                  static_cast<unsigned long long>(*swapped));
+    } else {
+      std::printf("psld: reloaded %s -> generation %llu\n",
+                  (cfg.store_path.empty() ? cfg.snapshot_path : cfg.store_path).c_str(),
+                  static_cast<unsigned long long>(*swapped));
+    }
+    std::fflush(stdout);
   }
 
-  std::printf("psld: shard %zu draining...\n", shard_index);
+  std::printf("%s draining...\n", who.c_str());
   std::fflush(stdout);
   server.shutdown();
   std::fprintf(stderr, "%s\n", psl::obs::to_json(metrics).c_str());
@@ -522,7 +553,7 @@ int reserve_shared_port(const std::string& address, std::uint16_t& port) {
 int cmd_serve_sharded(ServeConfig cfg) {
   psl::net::LatchValue boot{};
   {
-    auto snap = psl::snapshot::load_file_view(cfg.snapshot_path);
+    auto snap = psl::snapshot::load_file(cfg.snapshot_path);
     if (!snap.ok()) {
       std::fprintf(stderr, "psld: snapshot load failed: %s (%s)\n",
                    snap.error().message.c_str(), snap.error().code.c_str());
@@ -554,7 +585,21 @@ int cmd_serve_sharded(ServeConfig cfg) {
       std::fprintf(stderr, "psld: fork: %s\n", std::strerror(errno));
       return false;
     }
-    if (pid == 0) ::_exit(shard_main(cfg, idx, latch, placeholder_fd));
+    if (pid == 0) {
+      // The child drops the port placeholder and the inherited signal pipe
+      // (a shard writing into the parent's pipe would feed the parent's
+      // loop), re-plumbing its own before anything can signal it.
+      if (placeholder_fd >= 0) ::close(placeholder_fd);
+      ::close(g_signal_pipe[0]);
+      ::close(g_signal_pipe[1]);
+      if (::pipe(g_signal_pipe) != 0) {
+        std::fprintf(stderr, "psld: shard %zu pipe: %s\n", idx, std::strerror(errno));
+        ::_exit(1);
+      }
+      ::signal(SIGCHLD, SIG_DFL);  // shards do not fork
+      const Shard shard{idx, &latch};
+      ::_exit(serve(cfg, &shard));
+    }
     shard_pids[idx] = pid;
     return true;
   };
@@ -586,7 +631,7 @@ int cmd_serve_sharded(ServeConfig cfg) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) byte = 'T';
     if (byte == 'H' && !draining) {
-      auto snap = psl::snapshot::load_file_view(cfg.snapshot_path);
+      auto snap = psl::snapshot::load_file(cfg.snapshot_path);
       if (!snap.ok()) {
         std::printf("psld: reload rejected (%s), fleet stays on generation %llu\n",
                     snap.error().code.c_str(), static_cast<unsigned long long>(generation));
@@ -674,90 +719,7 @@ int cmd_serve(const ServeConfig& cfg) {
     return cmd_serve_sharded(cfg);
   }
 
-  psl::obs::MetricsRegistry metrics;
-  psl::serve::EngineOptions engine_options;
-  engine_options.threads = cfg.threads;
-  engine_options.max_queue_depth = cfg.queue_depth;
-  engine_options.metrics = &metrics;
-  if (cfg.analytics) {
-    engine_options.census_factory = psl::analytics::census_factory({});
-  }
-  std::unique_ptr<psl::serve::Engine> engine;
-  if (!cfg.store_path.empty()) {
-    auto view = psl::store::StoreView::open(cfg.store_path);
-    if (!view.ok()) {
-      std::fprintf(stderr, "psld: store open failed: %s (%s)\n",
-                   view.error().message.c_str(), view.error().code.c_str());
-      return 1;
-    }
-    auto newest = (*view)->open_version((*view)->version_count() - 1);
-    if (!newest.ok()) {
-      std::fprintf(stderr, "psld: store materialize failed: %s (%s)\n",
-                   newest.error().message.c_str(), newest.error().code.c_str());
-      return 1;
-    }
-    engine = std::make_unique<psl::serve::Engine>(*std::move(newest), engine_options);
-    (void)!engine->adopt_store(*std::move(view));
-  } else {
-    // Shared mapping even single-process: the daemon never holds a private
-    // copy of the arena, and the rename-publish contract is uniform.
-    auto snapshot = psl::snapshot::load_file_view(cfg.snapshot_path);
-    if (!snapshot.ok()) {
-      std::fprintf(stderr, "psld: snapshot load failed: %s (%s)\n",
-                   snapshot.error().message.c_str(), snapshot.error().code.c_str());
-      return 1;
-    }
-    engine = std::make_unique<psl::serve::Engine>(*std::move(snapshot), engine_options);
-  }
-
-  psl::net::ServerOptions options;
-  options.bind_address = cfg.address;
-  options.port = cfg.port;
-  options.max_connections = cfg.max_conns;
-  options.max_frame_bytes = cfg.max_frame;
-  options.metrics = &metrics;
-  psl::net::Server server(*engine, options);
-  auto started = server.start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "psld: %s\n", started.error().message.c_str());
-    return 1;
-  }
-
-  std::printf("psld: serving generation %llu (%llu rules) on %s:%u, %zu workers%s%s\n",
-              static_cast<unsigned long long>(engine->generation()),
-              static_cast<unsigned long long>(engine->metadata().rule_count),
-              cfg.address.c_str(), *started, engine->worker_count(),
-              cfg.store_path.empty() ? "" : " [store]", cfg.analytics ? " [analytics]" : "");
-  std::fflush(stdout);
-
-  for (;;) {
-    std::uint8_t byte = 0;
-    const ssize_t n = ::read(g_signal_pipe[0], &byte, 1);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    if (byte == 'H') {
-      const std::string& reload_path =
-          cfg.store_path.empty() ? cfg.snapshot_path : cfg.store_path;
-      auto swapped = cfg.store_path.empty() ? engine->reload_file_view(cfg.snapshot_path)
-                                            : engine->open_store(cfg.store_path);
-      if (swapped.ok()) {
-        std::printf("psld: reloaded %s -> generation %llu\n", reload_path.c_str(),
-                    static_cast<unsigned long long>(*swapped));
-      } else {
-        std::printf("psld: reload rejected (%s), still serving generation %llu\n",
-                    swapped.error().code.c_str(),
-                    static_cast<unsigned long long>(engine->generation()));
-      }
-      std::fflush(stdout);
-      continue;
-    }
-    break;  // SIGTERM/SIGINT: drain and exit
-  }
-
-  std::printf("psld: draining...\n");
-  std::fflush(stdout);
-  server.shutdown();
-  std::fprintf(stderr, "%s\n", psl::obs::to_json(metrics).c_str());
+  if (serve(cfg, nullptr) != 0) return 1;
   std::printf("psld: bye\n");
   return 0;
 }

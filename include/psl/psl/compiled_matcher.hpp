@@ -142,7 +142,7 @@ class CompiledMatcher {
 
   // Owned backing storage (compile path). A matcher loaded from a snapshot
   // leaves these empty: its spans point into the snapshot buffer, kept
-  // alive by retain_ (owning load) or by the caller (borrowed load).
+  // alive by retain_.
   std::vector<Node> owned_nodes_;
   std::vector<std::uint32_t> owned_hashes_;
   std::vector<Child> owned_children_;

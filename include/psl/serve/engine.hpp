@@ -201,7 +201,12 @@ class Engine {
   // --- hot reload --------------------------------------------------------
 
   /// Publish `next` as the serving state. Returns the new generation.
-  std::uint64_t swap(snapshot::Snapshot next);
+  /// `target_generation` installs the state AS that generation (0 =
+  /// auto-increment): the multi-shard coherence hook — every shard
+  /// reloading for latch generation G reports G, not a drifting local
+  /// counter. Monotonicity is preserved regardless: a target at or below
+  /// the current generation falls back to the auto-increment.
+  std::uint64_t swap(snapshot::Snapshot next, std::uint64_t target_generation = 0);
   /// Compile `list` and swap. When meta.rule_count is 0 it is filled from
   /// the list's rule count.
   std::uint64_t reload_list(const List& list, snapshot::Metadata meta = {});
@@ -209,19 +214,11 @@ class Engine {
   /// error the current state KEEPS SERVING and the error is returned
   /// (counted in serve.reload.failure).
   util::Result<std::uint64_t> reload_snapshot(std::span<const std::uint8_t> bytes);
-  /// load_file() + the same keep-last-good contract.
-  util::Result<std::uint64_t> reload_file(const std::string& path);
-  /// load_file_view() (shared read-only mmap — N shards, one physical
-  /// arena) + the same keep-last-good contract. `target_generation`
-  /// installs the state AS that generation (0 = auto-increment): the
-  /// multi-shard coherence hook — every shard reloading for latch
-  /// generation G reports G, not a drifting local counter. Monotonicity is
-  /// preserved regardless: a target at or below the current generation
-  /// falls back to the auto-increment.
-  util::Result<std::uint64_t> reload_file_view(const std::string& path,
-                                               std::uint64_t target_generation = 0);
-  /// swap() with the same explicit-generation contract as reload_file_view.
-  std::uint64_t swap_as(snapshot::Snapshot next, std::uint64_t target_generation);
+  /// load_file() (a private validated copy: later writes to the file cannot
+  /// reach the served arena) + the same keep-last-good contract, swapped in
+  /// with swap()'s `target_generation`.
+  util::Result<std::uint64_t> reload_file(const std::string& path,
+                                          std::uint64_t target_generation = 0);
 
   /// Observer invoked (from the reloading thread, after publication, with
   /// reload serialization held — notifications are ordered and generations

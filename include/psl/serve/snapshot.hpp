@@ -47,13 +47,13 @@
 // (tests/fuzz/fuzz_load_snapshot.cpp) hammers this contract with mutated
 // snapshot bytes under ASan/UBSan.
 //
-// Two loading modes:
-//   * load_copy / load_file copy the bytes into an aligned buffer owned by
-//     the returned matcher (shared_ptr-retained, so copies stay cheap);
-//   * load_view borrows the caller's buffer zero-copy — the caller must
-//     keep it alive and 8-byte aligned (mmap, static blobs, arenas).
+// load_copy and load_file copy the bytes into an aligned buffer owned by
+// the returned matcher (shared_ptr-retained, so copies stay cheap). A served
+// snapshot is therefore always a private, validated copy: nothing a writer
+// later does to the file it came from (overwrite in place, truncate) can
+// reach the arena being matched against.
 //
-// A third entry point, load_view_sections, runs the same validation over the
+// A second entry point, load_view_sections, runs the same validation over the
 // four sections as SEPARATE buffers. psl::store keeps one shared copy of an
 // unchanged section across many list versions, so a materialized version's
 // sections are not contiguous in the store file — but each section is still
@@ -76,12 +76,12 @@ namespace psl::snapshot {
 inline constexpr char kMagic[8] = {'P', 'S', 'L', 'S', 'N', 'A', 'P', '1'};
 inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 96;
-/// load_view() requires the borrowed buffer to start on this alignment so
-/// the in-place section spans are themselves aligned.
+/// load_view_sections() requires the node, hash and child sections to start
+/// on this alignment so the in-place spans are themselves aligned.
 inline constexpr std::size_t kBufferAlignment = 8;
 
 // Error codes returned by the loaders ("snapshot." prefix, stable):
-//   snapshot.misaligned   borrowed buffer not 8-byte aligned
+//   snapshot.misaligned   load_view_sections: a section not 8-byte aligned
 //   snapshot.truncated    shorter than the header / the declared sections
 //   snapshot.bad-magic    magic bytes are not "PSLSNAP1"
 //   snapshot.bad-version  format version unsupported
@@ -115,7 +115,7 @@ struct Snapshot {
 /// are into the full serialized buffer; sizes stand alone), and the five
 /// stored checksums. parse_header() validates every field invariant but
 /// deliberately does NOT verify the checksums — load_view_sections runs
-/// structural checks first and checksums last, the same order load_view
+/// structural checks first and checksums last, the same order load_copy
 /// uses, so corruption diagnostics stay comparable across entry points.
 struct HeaderView {
   Metadata meta;
@@ -139,18 +139,13 @@ util::Result<HeaderView> parse_header(std::span<const std::uint8_t> header);
 /// through any loader bit-identically.
 std::string serialize(const CompiledMatcher& matcher, const Metadata& meta);
 
-/// Validate and adopt `bytes` zero-copy: the matcher's arena spans point
-/// into `bytes`, which the caller must keep alive (and 8-byte aligned) for
-/// the matcher's whole lifetime.
-util::Result<Snapshot> load_view(std::span<const std::uint8_t> bytes);
-
 /// Validate `bytes` and copy them into an internal aligned buffer owned
 /// (and shared across copies) by the returned matcher. No alignment or
 /// lifetime demands on `bytes`.
 util::Result<Snapshot> load_copy(std::span<const std::uint8_t> bytes);
 
 /// The scattered-buffer loader: run the full validation pipeline (structure
-/// first, checksums last — identical to load_view) over a 96-byte header and
+/// first, checksums last — identical to load_copy) over a 96-byte header and
 /// the four sections as separate spans. Each span must be exactly the size
 /// the header declares; nodes/hashes/children must be 8-byte aligned (the
 /// pool is raw chars and may sit anywhere). `retain` keeps every buffer
@@ -163,25 +158,13 @@ util::Result<Snapshot> load_view_sections(std::span<const std::uint8_t> header,
                                           std::span<const std::uint8_t> pool,
                                           std::shared_ptr<const void> retain);
 
-/// Read `path` and load_copy its contents. A file whose size changes while
-/// being read (a writer not using the durable tmp+rename publish below) is
-/// rejected with snapshot.io rather than silently truncated at the size
-/// observed first.
+/// Read `path` into a private aligned buffer and validate it like
+/// load_copy, in one pass with no second copy. A file whose size changes
+/// while being read (a writer not using the durable tmp+rename publish
+/// below) is rejected with snapshot.io rather than silently truncated at the
+/// size observed first. Once this returns, the file is no longer read: it
+/// may be overwritten or truncated in place without touching the result.
 util::Result<Snapshot> load_file(const std::string& path);
-
-/// mmap `path` read-only (PROT_READ, MAP_SHARED) and load_view the mapping
-/// zero-copy; the mapping is retained by the returned matcher and unmapped
-/// when the last copy drops. N forked psld shards loading the same file
-/// through this entry point share ONE physical copy of the arena — the
-/// kernel page cache — instead of N private heap copies, which is what
-/// makes `--shards N` memory-free to scale.
-///
-/// Contract for publishers: the mapped file must be IMMUTABLE while served.
-/// Overwriting it in place (e.g. `cp new old`) mutates live mappings in
-/// every shard mid-query; publish a new file and rename() it over the old
-/// path instead (write_file_durable does exactly this), which leaves
-/// existing mappings pointing at the old inode untouched.
-util::Result<Snapshot> load_file_view(const std::string& path);
 
 /// serialize() to `path` via write_file_durable below. Returns the byte
 /// count written.

@@ -3,8 +3,11 @@
 # over the PSLN wire protocol, hot-reload via SIGHUP (answers must flip,
 # keep-last-good must hold for a corrupt file) and via a wire-level
 # `psld reload`, prove the push channel (a subscribed `psld watch` is told
-# about a SIGHUP reload without issuing a single query), then drain via
-# SIGTERM and require a clean exit 0. A second
+# about a SIGHUP reload without issuing a single query), overwrite and
+# truncate the served file in place under query load (answers must not
+# move, a SIGHUP on the truncated file must be rejected, a rename-publish
+# must then reload), then drain via SIGTERM and require a clean exit 0. A
+# second
 # act covers the multi-version store: psltool store build from two dated
 # lists, psld --store, match-at answers flipping across the version
 # boundary, divergence ranges, a corrupted store rejected at boot, and the
@@ -22,8 +25,8 @@
 # Every daemon listens on 127.0.0.1:0 — the kernel picks a free ephemeral
 # port, the banner names it, and the script greps it back out; nothing here
 # can collide with another test's port again. Snapshots are published by
-# rename (tmp + mv), never overwritten in place: the daemon serves them from
-# shared mappings, and rewriting a mapped file would corrupt live memory.
+# rename (tmp + mv), the way a publisher should; the daemon serves a private
+# validated copy, so Act 1's chaos step also rewrites the file in place.
 # CI runs this against the freshly built tree:
 #
 #   scripts/net_smoke.sh build/examples/psld [build/examples/psltool]
@@ -94,8 +97,6 @@ grep -qx "user.github.io user.github.io" q1.txt || fail "github.io query: $(cat 
 "$PSLD" stats "$ADDR" | grep -q "generation 1, 4 rules" || fail "stats before reload"
 
 # --- SIGHUP hot reload: the answer must flip -----------------------------
-# Publish by rename: the daemon maps live.psnap shared, so the new bytes
-# must arrive under a fresh inode, never by rewriting the mapped file.
 cp b.psnap stage.psnap && mv stage.psnap live.psnap
 kill -HUP "$DAEMON_PID"
 for _ in $(seq 1 100); do
@@ -151,6 +152,52 @@ STATUS=0
 wait "$WATCH_PID" || STATUS=$?  # count=1: exits 0 after that one push
 [[ "$STATUS" -eq 0 ]] || fail "watcher exited $STATUS"
 WATCH_PID=
+
+# --- chaos: overwrite and truncate the served file in place --------------
+# psld answers from its own validated copy of live.psnap, so rewriting the
+# file (cp opens it O_TRUNC and writes another list's bytes into the same
+# inode) and then truncating it to nothing must not move a single answer
+# of generation 4, while a client keeps querying throughout.
+( while [[ ! -f stop_chaos ]]; do
+    "$PSLD" query "$ADDR" shop1.myshopify.com >> chaos.txt 2>&1 || echo "query failed" >> chaos.txt
+  done ) &
+CHAOS_PID=$!
+trap 'kill "$DAEMON_PID" "$STORE_PID" "$WATCH_PID" "$CHAOS_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+sleep 0.3
+cp a.psnap live.psnap
+sleep 0.3
+truncate -s 0 live.psnap
+sleep 0.3
+: > stop_chaos
+wait "$CHAOS_PID" 2>/dev/null || true
+kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died while its file was rewritten in place"
+[[ -s chaos.txt ]] || fail "no query ran during the in-place rewrite"
+if grep -vqx "shop1.myshopify.com shop1.myshopify.com" chaos.txt; then
+  fail "an answer moved while the file was rewritten in place: $(sort chaos.txt | uniq -c)"
+fi
+"$PSLD" stats "$ADDR" | grep -q "generation 4, 5 rules" || fail "stats after in-place rewrite"
+
+# A SIGHUP on the truncated file is rejected keep-last-good...
+kill -HUP "$DAEMON_PID"
+for _ in $(seq 1 100); do
+  grep -q "still serving generation 4" psld.log 2>/dev/null && break
+  sleep 0.1
+done
+grep -q "reload rejected .*, still serving generation 4" psld.log \
+  || fail "reload of the truncated file was not rejected keep-last-good"
+"$PSLD" query "$ADDR" shop1.myshopify.com | grep -qx "shop1.myshopify.com shop1.myshopify.com" \
+  || fail "serving disturbed after the truncated reload"
+
+# ...and a rename-publish then reloads as usual.
+cp a.psnap stage.psnap && mv stage.psnap live.psnap
+kill -HUP "$DAEMON_PID"
+for _ in $(seq 1 100); do
+  grep -q "generation 5" psld.log 2>/dev/null && break
+  sleep 0.1
+done
+grep -q "reloaded .* generation 5" psld.log || fail "rename-publish after the chaos did not reload"
+"$PSLD" query "$ADDR" shop1.myshopify.com | grep -qx "shop1.myshopify.com myshopify.com" \
+  || fail "rename-publish after the chaos did not flip the answer"
 
 # --- SIGTERM: graceful drain, exit 0 -------------------------------------
 kill -TERM "$DAEMON_PID"
@@ -324,7 +371,7 @@ ANALYTICS_PID=
 
 # ==========================================================================
 # Act 4: the sharded fleet. Two forked shards accept on one SO_REUSEPORT
-# port, each mapping the same snapshot file; one SIGHUP to the parent
+# port, each serving its own validated copy of the snapshot; one SIGHUP to the parent
 # publishes a generation through the
 # shared latch to every shard; a shard SIGKILLed under live query load is
 # respawned and adopts the latch generation (not generation 1); SIGTERM
@@ -353,7 +400,7 @@ done
 [[ $(grep -c "shard [0-9]* serving generation 1" psld_shards.log) -eq 2 ]] \
   || fail "expected 2 shard banners: $(cat psld_shards.log)"
 
-# The shards answer from the shared snapshot mapping.
+# The shards answer from their copies of the snapshot.
 "$PSLD" ping "$SHARD_ADDR" | grep -qx "pong" || fail "sharded TCP ping"
 "$PSLD" query "$SHARD_ADDR" shop1.myshopify.com a.b.co.uk > qs1.txt
 grep -qx "shop1.myshopify.com myshopify.com" qs1.txt || fail "sharded TCP query: $(cat qs1.txt)"

@@ -272,8 +272,8 @@ void Engine::set_generation_listener(GenerationListener listener) {
   generation_listener_ = std::move(listener);
 }
 
-std::uint64_t Engine::swap(snapshot::Snapshot next) {
-  const std::uint64_t generation = install(std::move(next));
+std::uint64_t Engine::swap(snapshot::Snapshot next, std::uint64_t target_generation) {
+  const std::uint64_t generation = install(std::move(next), target_generation);
   if (reload_success_) reload_success_->add();
   return generation;
 }
@@ -292,29 +292,14 @@ util::Result<std::uint64_t> Engine::reload_snapshot(std::span<const std::uint8_t
   return swap(std::move(loaded).value());
 }
 
-util::Result<std::uint64_t> Engine::reload_file(const std::string& path) {
+util::Result<std::uint64_t> Engine::reload_file(const std::string& path,
+                                                std::uint64_t target_generation) {
   auto loaded = snapshot::load_file(path);
   if (!loaded) {
     if (reload_failure_) reload_failure_->add();
     return loaded.error();  // keep-last-good: state_ untouched
   }
-  return swap(std::move(loaded).value());
-}
-
-util::Result<std::uint64_t> Engine::reload_file_view(const std::string& path,
-                                                     std::uint64_t target_generation) {
-  auto loaded = snapshot::load_file_view(path);
-  if (!loaded) {
-    if (reload_failure_) reload_failure_->add();
-    return loaded.error();  // keep-last-good: state_ untouched
-  }
-  return swap_as(std::move(loaded).value(), target_generation);
-}
-
-std::uint64_t Engine::swap_as(snapshot::Snapshot next, std::uint64_t target_generation) {
-  const std::uint64_t generation = install(std::move(next), target_generation);
-  if (reload_success_) reload_success_->add();
-  return generation;
+  return swap(std::move(loaded).value(), target_generation);
 }
 
 // --- introspection ------------------------------------------------------------

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -174,6 +177,81 @@ TEST(ServeEngineTest, ReloadFileRoundTrip) {
 
   EXPECT_EQ(engine.reload_file("/nonexistent/x.psnap").error().code, "snapshot.io");
   EXPECT_EQ(engine.generation(), 2u);  // keep-last-good
+}
+
+/// A list whose snapshot spans dozens of pages, so a truncation to one page
+/// removes most of the file. `with_private` adds a rule below every TLD.
+List wide_list(bool with_private) {
+  std::string text;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string tld = "t" + std::to_string(i);
+    text += tld + "\n";
+    if (with_private) text += "p" + std::to_string(i) + "." + tld + "\n";
+  }
+  return parse_list(text);
+}
+
+TEST(ServeEngineTest, ServedSnapshotIsAPrivateCopyOfTheFile) {
+  // An engine booted from load_file(path) serves a validated private copy:
+  // overwriting the file in place with another snapshot's bytes and then
+  // truncating it to 4 KiB must change no answer, and reloading the damaged
+  // file must be rejected keep-last-good.
+  obs::MetricsRegistry metrics;
+  const List served = wide_list(true);
+  const std::string path = testing::TempDir() + "/psl_engine_private_copy.psnap";
+  snapshot::Metadata meta;
+  meta.rule_count = served.rules().size();
+  auto written = snapshot::write_file(path, CompiledMatcher(served), meta);
+  ASSERT_TRUE(written.ok()) << written.error().message;
+  ASSERT_GT(*written, 16 * 4096u);
+  auto loaded = snapshot::load_file(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  // No cache: every answer below walks the served arena.
+  Engine engine(*std::move(loaded), {.threads = 1, .cache_slots = 0, .metrics = &metrics});
+
+  const CompiledMatcher oracle(served);
+  std::vector<std::string> hosts;
+  for (int i = 0; i < 4000; i += 37) {
+    const std::string tld = "t" + std::to_string(i);
+    hosts.push_back("x.p" + std::to_string(i) + "." + tld);
+    hosts.push_back("a.b." + tld);
+  }
+  std::vector<std::string> want;
+  for (const std::string& host : hosts) {
+    want.emplace_back(oracle.match_view(host).registrable_domain);
+  }
+  const auto expect_served_answers = [&](const char* stage) {
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      ASSERT_EQ(registrable_domain(engine, hosts[i]), want[i]) << stage << ": " << hosts[i];
+    }
+    auto batch = submit(engine, registrable_domains_job(engine, hosts));
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch.result.get(), want) << stage;
+  };
+  expect_served_answers("as loaded");
+
+  // Overwrite in place the way cp(1) does: same inode, truncate, write.
+  const List other = wide_list(false);
+  snapshot::Metadata other_meta;
+  other_meta.rule_count = other.rules().size();
+  const std::string other_bytes = snapshot::serialize(CompiledMatcher(other), other_meta);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(other_bytes.data(), static_cast<std::streamsize>(other_bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+  expect_served_answers("overwritten in place");
+
+  ASSERT_EQ(::truncate(path.c_str(), 4096), 0);
+  expect_served_answers("truncated to 4 KiB");
+
+  auto reloaded = engine.reload_file(path);
+  ASSERT_FALSE(reloaded.ok());
+  EXPECT_EQ(reloaded.error().code.rfind("snapshot.", 0), 0u) << reloaded.error().code;
+  EXPECT_EQ(engine.generation(), 1u);
+  EXPECT_EQ(metrics.counter("serve.reload.failure").value(), 1);
+  expect_served_answers("after the rejected reload");
+  std::remove(path.c_str());
 }
 
 TEST(ServeEngineTest, ShutdownDrainsAcceptedBatches) {
